@@ -35,10 +35,11 @@ bench:
 
 # bench-smoke runs each benchmark once — compile + one iteration, a CI-speed
 # check that the benchmarks still work — then pins the profiler-disabled
-# record paths at zero allocations (the alloc-regression gate).
+# record paths and the floored steady-state resource calendar at zero
+# allocations (the alloc-regression gate).
 bench-smoke:
 	$(GO) test -bench . -benchtime 1x -benchmem -run '^$$' ./...
-	$(GO) test -run 'ZeroAlloc' ./internal/obs
+	$(GO) test -run 'ZeroAlloc' ./internal/obs ./internal/sim
 
 ci: build vet test race-hot
 

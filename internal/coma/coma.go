@@ -176,6 +176,13 @@ func (m *Machine) Stats() *stats.Machine { return &m.st }
 // Mesh returns the interconnect.
 func (m *Machine) Mesh() *mesh.Mesh { return m.net }
 
+// SetFloor bounds every resource calendar, the mesh's included, by the
+// scheduler's low watermark f (see sim.Resource).
+func (m *Machine) SetFloor(f *sim.Time) {
+	sim.SetFloors(f, m.hproc, m.bank, m.disk)
+	m.net.SetFloor(f)
+}
+
 // SetTrace routes protocol trace events to t; nil disables.
 func (m *Machine) SetTrace(t *obs.Trace) {
 	if t == nil {

@@ -227,6 +227,13 @@ func (m *Machine) Stats() *stats.Machine { return &m.st }
 // Mesh returns the interconnect (for traffic statistics).
 func (m *Machine) Mesh() *mesh.Mesh { return m.net }
 
+// SetFloor bounds every resource calendar, the mesh's included, by the
+// scheduler's low watermark f (see sim.Resource).
+func (m *Machine) SetFloor(f *sim.Time) {
+	sim.SetFloors(f, m.pbank, m.dproc, m.dbank, m.disk)
+	m.net.SetFloor(f)
+}
+
 // SetTrace routes protocol trace events to t (nil disables). P-node events
 // carry node IDs 0..PNodes-1; D-node events carry PNodes+d.
 func (m *Machine) SetTrace(t *obs.Trace) {

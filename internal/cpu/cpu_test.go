@@ -252,3 +252,74 @@ func TestResetMeasurementExcludesWarmup(t *testing.T) {
 		t.Fatalf("post-reset stats = %+v", s)
 	}
 }
+
+// floorMem serializes every access through one bank bounded by the
+// scheduler's floor and records any access issued below it.
+type floorMem struct {
+	floor *sim.Time
+	bank  sim.Resource
+	below int
+}
+
+func (f *floorMem) Access(now sim.Time, p int, addr uint64, write bool) (sim.Time, proto.LatClass) {
+	if now < *f.floor {
+		f.below++
+	}
+	return f.bank.Acquire(now, 40) + 40, proto.LatMem
+}
+
+// The scheduler's floor never decreases across barrier parks and lock
+// hand-offs, and no access is issued below it: a woken thread resumes at or
+// after its releaser's time.
+func TestFloorMonotoneAcrossSync(t *testing.T) {
+	const n, rounds, lockAddr = 4, 6, 0x9000
+	sched := sim.NewScheduler()
+	sd := NewSyncDomain(sched)
+	mem := &floorMem{floor: sched.Floor()}
+	mem.bank.SetFloor(sched.Floor())
+	for id := 0; id < n; id++ {
+		var ops []Op
+		for r := 0; r < rounds; r++ {
+			ops = append(ops,
+				Op{Kind: OpCompute, N: uint32(50 + 170*id + 31*r)},
+				Op{Kind: OpLoad, Addr: uint64(id*128 + r), Indep: true},
+				Op{Kind: OpStore, Addr: uint64(0x1000 + id*128)},
+				Op{Kind: OpAcquire, Addr: lockAddr},
+				Op{Kind: OpCompute, N: 300}, // long critical section: contenders park
+				Op{Kind: OpStore, Addr: lockAddr + 128},
+				Op{Kind: OpRelease, Addr: lockAddr},
+				Op{Kind: OpLoad, Addr: uint64(0x2000 + r*128)},
+				Op{Kind: OpBarrier, N: n},
+			)
+		}
+		sched.Add(NewThread(id, mem, nil, &SliceStream{Ops: ops}, sd, DefaultParams()))
+	}
+	var prev sim.Time
+	parks := 0
+	for {
+		running, done := sched.Running(), sched.Done()
+		if !sched.Step() {
+			break
+		}
+		if f := *sched.Floor(); f < prev {
+			t.Fatalf("floor decreased from %d to %d", prev, f)
+		} else {
+			prev = f
+		}
+		if sched.Running() < running && sched.Done() == done {
+			parks++
+		}
+	}
+	if sched.Done() != n {
+		t.Fatalf("%d of %d threads finished", sched.Done(), n)
+	}
+	if mem.below != 0 {
+		t.Fatalf("%d accesses issued below the floor", mem.below)
+	}
+	if sd.Barriers != rounds {
+		t.Fatalf("barrier episodes = %d, want %d", sd.Barriers, rounds)
+	}
+	if lockParks := parks - rounds*(n-1); lockParks <= 0 {
+		t.Fatalf("no lock hand-offs exercised (%d parks, all at barriers)", parks)
+	}
+}

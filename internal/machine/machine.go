@@ -159,6 +159,7 @@ type engine interface {
 	Stats() *stats.Machine
 	Mesh() *mesh.Mesh
 	LineBytes() uint64
+	SetFloor(*sim.Time)
 	SetTrace(*obs.Trace)
 	SetSpans(*obs.Spans)
 	SetProfile(*obs.Profile)
@@ -313,6 +314,7 @@ func Run(cfg Config) (*Result, error) {
 
 	streams := app.Streams(cfg.Threads)
 	sched := sim.NewScheduler()
+	eng.SetFloor(sched.Floor())
 	sd := cpu.NewSyncDomain(sched)
 	threads := make([]*cpu.Thread, cfg.Threads)
 

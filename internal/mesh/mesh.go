@@ -100,6 +100,10 @@ func New(cfg Config) (*Mesh, error) {
 	}, nil
 }
 
+// SetFloor bounds the link calendars by the scheduler's low watermark f
+// (see sim.Resource).
+func (m *Mesh) SetFloor(f *sim.Time) { sim.SetFloors(f, m.links) }
+
 // SetTrace routes per-message trace events (obs.EvMsg) to t; nil disables.
 func (m *Mesh) SetTrace(t *obs.Trace) {
 	if t == nil {

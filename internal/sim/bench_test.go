@@ -74,12 +74,17 @@ func BenchmarkSchedulerStep(b *testing.B) {
 }
 
 // BenchmarkResourceAcquire measures the busy-calendar resource under
-// out-of-order arrivals.
+// out-of-order arrivals ahead of an advancing floor, as in a scheduled run.
+// Steady state must report 0 allocs/op: retirement below the floor recycles
+// the calendar's backing array.
 func BenchmarkResourceAcquire(b *testing.B) {
 	b.ReportAllocs()
-	var r Resource
+	s := newSteadyStream()
+	for i := 0; i < 1<<14; i++ {
+		s.next()
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r.Acquire(Time(i*3%(1<<14)), 2)
+		s.next()
 	}
 }

@@ -46,6 +46,7 @@ type Scheduler struct {
 	parked int
 	done   int
 	total  int
+	floor  Time // clock of the last stepped root; monotone
 }
 
 type schedEntry struct {
@@ -97,6 +98,10 @@ func (s *Scheduler) Unpark(id int, t Time) {
 	s.push(e)
 }
 
+// Floor returns the scheduler's low watermark (see Scheduler). The pointer
+// stays valid for the scheduler's lifetime; hand it to Resource.SetFloor.
+func (s *Scheduler) Floor() *Time { return &s.floor }
+
 // Running reports how many threads are neither parked nor done.
 func (s *Scheduler) Running() int { return len(s.h) }
 
@@ -110,6 +115,9 @@ func (s *Scheduler) Step() bool {
 		return false
 	}
 	e := s.h[0]
+	if e.clock > s.floor {
+		s.floor = e.clock
+	}
 	switch e.t.Step() {
 	case Runnable:
 		e.clock = e.t.Clock()

@@ -136,3 +136,35 @@ func TestSchedulerUnparkNonParkedPanics(t *testing.T) {
 	}()
 	s.Unpark(0, 10)
 }
+
+// Floor tracks the clock of each stepped heap root, and an Unpark at the
+// releaser's time keeps it monotone.
+func TestSchedulerFloor(t *testing.T) {
+	var trace []stepRecord
+	s := NewScheduler()
+	s.Add(&stubThread{id: 0, stride: 7, left: 10, parkAt: 6, trace: &trace})
+	s.Add(&stubThread{id: 1, stride: 3, left: 30, trace: &trace})
+	floor := s.Floor()
+	if *floor != 0 {
+		t.Fatalf("initial floor = %d, want 0", *floor)
+	}
+	var prev Time
+	unparked := false
+	for s.Step() {
+		last := trace[len(trace)-1]
+		if *floor != last.clock {
+			t.Fatalf("floor = %d after stepping thread %d at %d", *floor, last.id, last.clock)
+		}
+		if *floor < prev {
+			t.Fatalf("floor decreased from %d to %d", prev, *floor)
+		}
+		prev = *floor
+		if last.id == 1 && last.clock >= 60 && !unparked {
+			s.Unpark(0, last.clock) // release at the releaser's time
+			unparked = true
+		}
+	}
+	if !unparked || s.Done() != 2 {
+		t.Fatalf("unparked=%v done=%d, want a release and both threads finished", unparked, s.Done())
+	}
+}

@@ -35,11 +35,12 @@ bench:
 
 # bench-smoke runs each benchmark once — compile + one iteration, a CI-speed
 # check that the benchmarks still work — then pins the profiler-disabled
-# record paths and the floored steady-state resource calendar at zero
-# allocations (the alloc-regression gate).
+# record paths, the floored steady-state resource calendar and the shared
+# machine Access wrapper's L1-hit path at zero allocations (the
+# alloc-regression gate).
 bench-smoke:
 	$(GO) test -bench . -benchtime 1x -benchmem -run '^$$' ./...
-	$(GO) test -run 'ZeroAlloc' ./internal/obs ./internal/sim
+	$(GO) test -run 'ZeroAlloc' ./internal/obs ./internal/sim ./internal/machine
 
 ci: build vet test race-hot
 

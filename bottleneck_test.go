@@ -40,36 +40,40 @@ func TestProfileCycleInvariant(t *testing.T) {
 // profiler: it is record-only, so a profiled run must be bit-identical to an
 // unprofiled one, and two profiled runs must record identical profiles.
 func TestProfileDoesNotChangeResults(t *testing.T) {
-	plain, err := Run(fig6AGGConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := fig6AGGConfig()
-	cfg.Profile = NewProfile()
-	profiled, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.Breakdown != profiled.Breakdown {
-		t.Fatalf("breakdown differs with profiling on: %+v vs %+v", plain.Breakdown, profiled.Breakdown)
-	}
-	if !reflect.DeepEqual(plain.Machine, profiled.Machine) {
-		t.Fatal("stats.Machine differs with profiling on")
-	}
-	if !reflect.DeepEqual(plain.Mesh, profiled.Mesh) {
-		t.Fatal("mesh stats differ with profiling on")
-	}
+	for _, arch := range allArches {
+		t.Run(string(arch), func(t *testing.T) {
+			plain, err := Run(fig6Config(arch))
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := fig6Config(arch)
+			cfg.Profile = NewProfile()
+			profiled, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if plain.Breakdown != profiled.Breakdown {
+				t.Fatalf("breakdown differs with profiling on: %+v vs %+v", plain.Breakdown, profiled.Breakdown)
+			}
+			if !reflect.DeepEqual(plain.Machine, profiled.Machine) {
+				t.Fatal("stats.Machine differs with profiling on")
+			}
+			if !reflect.DeepEqual(plain.Mesh, profiled.Mesh) {
+				t.Fatal("mesh stats differ with profiling on")
+			}
 
-	cfg2 := fig6AGGConfig()
-	cfg2.Profile = NewProfile()
-	if _, err := Run(cfg2); err != nil {
-		t.Fatal(err)
-	}
-	if a, b := foldedText(t, cfg.Profile), foldedText(t, cfg2.Profile); a != b {
-		t.Fatalf("profiles differ between identical runs:\n%s\nvs\n%s", a, b)
-	}
-	if !reflect.DeepEqual(cfg.Profile.Samples(), cfg2.Profile.Samples()) {
-		t.Fatal("mesh queue-depth samples differ between identical runs")
+			cfg2 := fig6Config(arch)
+			cfg2.Profile = NewProfile()
+			if _, err := Run(cfg2); err != nil {
+				t.Fatal(err)
+			}
+			if a, b := foldedText(t, cfg.Profile), foldedText(t, cfg2.Profile); a != b {
+				t.Fatalf("profiles differ between identical runs:\n%s\nvs\n%s", a, b)
+			}
+			if !reflect.DeepEqual(cfg.Profile.Samples(), cfg2.Profile.Samples()) {
+				t.Fatal("mesh queue-depth samples differ between identical runs")
+			}
+		})
 	}
 }
 
@@ -81,7 +85,7 @@ func TestProfileSweepDeterminism(t *testing.T) {
 		cfgs := make([]Config, 4)
 		profs := make([]*Profile, len(cfgs))
 		for i := range cfgs {
-			cfgs[i] = fig6AGGConfig()
+			cfgs[i] = fig6Config(AGG)
 			cfgs[i].Arch = []Arch{AGG, NUMA, COMA, AGG}[i]
 			profs[i] = NewProfile()
 			cfgs[i].Profile = profs[i]

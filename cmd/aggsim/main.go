@@ -5,7 +5,7 @@
 // Usage:
 //
 //	aggsim -arch agg|numa|coma -app fft -pressure 0.75 -dratio 1
-//	       [-threads 32] [-scale 1.0] [-dnodes n] [-shards n]
+//	       [-threads 32] [-scale 1.0] [-dnodes n]
 //	       [-trace f.json] [-trace-bin f.bin] [-trace-buf n]
 //	       [-metrics-out f.json] [-progress]
 //	       [-spans] [-spans-out f.bin] [-audit] [-http addr]
@@ -41,11 +41,10 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"runtime"
-	"runtime/pprof"
 	"strings"
 
 	"pimdsm"
+	"pimdsm/internal/obs"
 	"pimdsm/internal/proto"
 )
 
@@ -61,7 +60,6 @@ func realMain() int {
 	dratio := flag.Int("dratio", 1, "AGG P:D ratio denominator (1, 2 or 4)")
 	dnodes := flag.Int("dnodes", 0, "explicit AGG D-node count (overrides -dratio)")
 	scale := flag.Float64("scale", 1.0, "workload scale factor")
-	shards := flag.Int("shards", 1, "partitioned-engine shard count (recorded; coherence path is serial, see DESIGN.md)")
 	tracePath := flag.String("trace", "", "write Chrome trace_event JSON to file")
 	traceBin := flag.String("trace-bin", "", "write compact binary trace to file")
 	traceBuf := flag.Int("trace-buf", 1<<20, "trace ring capacity in events (rounded to a power of two)")
@@ -77,7 +75,7 @@ func realMain() int {
 	memprofile := flag.String("memprofile", "", "write heap profile to file on exit")
 	flag.Parse()
 
-	stop, err := startProfiles(*cpuprofile, *memprofile)
+	stop, err := obs.StartPprof(*cpuprofile, *memprofile)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
@@ -91,7 +89,6 @@ func realMain() int {
 		Pressure: *pressure,
 		DRatio:   *dratio,
 		DNodes:   *dnodes,
-		Shards:   *shards,
 	}
 	var tr *pimdsm.Trace
 	if *tracePath != "" || *traceBin != "" {
@@ -135,7 +132,7 @@ func realMain() int {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
-	if err := writeObservers(tr, reg, *tracePath, *traceBin, *metricsOut); err != nil {
+	if err := obs.WriteObservers(tr, reg, *tracePath, *traceBin, *metricsOut); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
@@ -236,66 +233,6 @@ func realMain() int {
 		<-ch
 	}
 	return 0
-}
-
-// writeObservers flushes the trace and metrics outputs that were requested.
-// Every artifact is written atomically (temp file + rename), so a failed or
-// interrupted writer never truncates a previous good artifact.
-func writeObservers(tr *pimdsm.Trace, reg *pimdsm.Metrics, tracePath, traceBin, metricsOut string) error {
-	if tracePath != "" {
-		if err := pimdsm.WriteFileAtomic(tracePath, func(w io.Writer) error { return pimdsm.WriteChromeTrace(w, tr) }); err != nil {
-			return fmt.Errorf("trace: %w", err)
-		}
-		if d := tr.Dropped(); d > 0 {
-			fmt.Fprintf(os.Stderr, "trace: ring full, oldest %d of %d events dropped (raise -trace-buf)\n", d, tr.Total())
-		}
-	}
-	if traceBin != "" {
-		if err := pimdsm.WriteFileAtomic(traceBin, func(w io.Writer) error { return pimdsm.WriteBinaryTrace(w, tr) }); err != nil {
-			return fmt.Errorf("trace-bin: %w", err)
-		}
-	}
-	if metricsOut != "" {
-		if err := pimdsm.WriteFileAtomic(metricsOut, func(w io.Writer) error { return reg.WriteJSON(w) }); err != nil {
-			return fmt.Errorf("metrics-out: %w", err)
-		}
-	}
-	return nil
-}
-
-// startProfiles starts the requested pprof profiles and returns a function
-// that flushes them; it must run before the process exits (so main returns an
-// exit code instead of calling os.Exit directly).
-func startProfiles(cpu, mem string) (stop func(), err error) {
-	var cpuFile *os.File
-	if cpu != "" {
-		cpuFile, err = os.Create(cpu)
-		if err != nil {
-			return nil, err
-		}
-		if err := pprof.StartCPUProfile(cpuFile); err != nil {
-			cpuFile.Close()
-			return nil, err
-		}
-	}
-	return func() {
-		if cpuFile != nil {
-			pprof.StopCPUProfile()
-			cpuFile.Close()
-		}
-		if mem != "" {
-			f, err := os.Create(mem)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "memprofile:", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC() // materialize the live set before snapshotting
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "memprofile:", err)
-			}
-		}
-	}, nil
 }
 
 func max64(a, b uint64) uint64 {

@@ -17,10 +17,9 @@
 //
 // -workers bounds concurrently running jobs; -sweep-workers bounds the
 // simulations one job runs in parallel (0 = GOMAXPROCS divided across the
-// job workers). Every simulation is a CPU-bound serial coherence run —
-// Config.Shards parallelizes only the event-driven mesh engine, never a
-// machine run — so the daemon keeps workers × sweep-workers ≤ GOMAXPROCS:
-// explicit values that oversubscribe are capped with a startup warning.
+// job workers). Every simulation is a CPU-bound serial coherence run, so
+// the daemon keeps workers × sweep-workers ≤ GOMAXPROCS: explicit values
+// that oversubscribe are capped with a startup warning.
 // -queue is the admission window: submissions beyond it receive HTTP 429
 // with a Retry-After hint instead of queueing without bound. -cache-file
 // persists the result-cache index across restarts (written atomically on
@@ -116,10 +115,10 @@ var notifyListening = func(addr string) {}
 // effectiveSweepWorkers resolves the per-job simulation parallelism so the
 // pool never oversubscribes the host: each of `workers` jobs runs up to the
 // returned count of simulations at once, and every simulation is one
-// CPU-bound goroutine (the coherence path is serial at any Config.Shards),
-// so the product is kept ≤ maxProcs. sweepWorkers 0 asks for the automatic
-// split; an explicit value that oversubscribes is capped and the returned
-// warning explains what happened (empty when nothing was changed).
+// CPU-bound goroutine (machine runs are serial), so the product is kept
+// ≤ maxProcs. sweepWorkers 0 asks for the automatic split; an explicit
+// value that oversubscribes is capped and the returned warning explains
+// what happened (empty when nothing was changed).
 //
 // The previous behavior — 0 meant one sweep worker per CPU in *each* job
 // worker — ran workers × NumCPU simulations on NumCPU cores, a 2× default

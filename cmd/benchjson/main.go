@@ -3,19 +3,15 @@
 // emits one JSON document to stdout. `make bench-json` redirects it into
 // BENCH_<date>.json; committing those snapshots over time builds the
 // performance trajectory of the simulator itself. Throughput is
-// host-dependent, so the date, Go version, CPU count, GOMAXPROCS and the
-// requested shard count are recorded alongside every snapshot, and each run
-// carries its own shards/gomaxprocs pair so later analysis never has to
-// guess a row's provenance.
+// host-dependent, so the date, Go version, CPU count and GOMAXPROCS are
+// recorded alongside every snapshot, and each run carries its own GOMAXPROCS
+// so later analysis never has to guess a row's provenance. The document is
+// the obs.BenchDoc schema that `make bench-diff` and `figures -exp timeline`
+// parse.
 //
 // Usage:
 //
-//	benchjson [-scale 1.0] [-threads 32] [-repeat 2] [-shards 1]
-//
-// The machines' coherence path executes serially at any -shards value (see
-// DESIGN.md, "Conservative-window PDES"): the flag exists so snapshots taken
-// while the partitioned engine spreads to more subsystems stay comparable,
-// not because it changes these numbers today.
+//	benchjson [-scale 1.0] [-threads 32] [-repeat 2]
 package main
 
 import (
@@ -29,6 +25,7 @@ import (
 	"time"
 
 	"pimdsm"
+	"pimdsm/internal/obs"
 )
 
 // gitCommit resolves the working tree's HEAD, "-dirty" suffixed when the
@@ -49,31 +46,6 @@ func gitCommit() string {
 	return commit
 }
 
-type benchRun struct {
-	Arch         string  `json:"arch"`
-	App          string  `json:"app"`
-	Shards       int     `json:"shards"`
-	GoMaxProcs   int     `json:"gomaxprocs"`
-	WallMs       float64 `json:"wall_ms"`
-	ExecCycles   uint64  `json:"exec_cycles"`
-	CyclesPerSec float64 `json:"cycles_per_sec"`
-}
-
-type benchDoc struct {
-	Date string `json:"date"`
-	// Commit ties the snapshot to the exact tree it measured (best-effort:
-	// empty when git or the repo is unavailable, e.g. a tarball build).
-	Commit     string     `json:"commit,omitempty"`
-	Go         string     `json:"go"`
-	CPUs       int        `json:"cpus"`
-	GoMaxProcs int        `json:"gomaxprocs"`
-	Scale      float64    `json:"scale"`
-	Threads    int        `json:"threads"`
-	Shards     int        `json:"shards"`
-	Repeat     int        `json:"repeat"`
-	Runs       []benchRun `json:"runs"`
-}
-
 func main() {
 	os.Exit(realMain())
 }
@@ -82,10 +54,9 @@ func realMain() int {
 	scale := flag.Float64("scale", 1.0, "workload scale factor")
 	threads := flag.Int("threads", 32, "application threads")
 	repeat := flag.Int("repeat", 2, "runs per configuration (best wall time wins)")
-	shards := flag.Int("shards", 1, "partitioned-engine shard count recorded per run")
 	flag.Parse()
 
-	doc := benchDoc{
+	doc := obs.BenchDoc{
 		Date:       time.Now().Format("2006-01-02"),
 		Commit:     gitCommit(),
 		Go:         runtime.Version(),
@@ -93,7 +64,6 @@ func realMain() int {
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 		Scale:      *scale,
 		Threads:    *threads,
-		Shards:     *shards,
 		Repeat:     *repeat,
 	}
 	for _, app := range pimdsm.Apps() {
@@ -101,7 +71,6 @@ func realMain() int {
 			cfg := pimdsm.Config{
 				Arch: arch, App: pimdsm.App(app, *scale),
 				Threads: *threads, Pressure: 0.75, DRatio: 1,
-				Shards: *shards,
 			}
 			var res *pimdsm.Result
 			best := time.Duration(1<<63 - 1)
@@ -118,9 +87,9 @@ func realMain() int {
 				res = r
 			}
 			exec := uint64(res.Breakdown.Exec)
-			doc.Runs = append(doc.Runs, benchRun{
+			doc.Runs = append(doc.Runs, obs.BenchRun{
 				Arch: string(arch), App: app,
-				Shards: res.Shards, GoMaxProcs: runtime.GOMAXPROCS(0),
+				GoMaxProcs:   runtime.GOMAXPROCS(0),
 				WallMs:       float64(best.Microseconds()) / 1000,
 				ExecCycles:   exec,
 				CyclesPerSec: float64(exec) / best.Seconds(),

@@ -11,9 +11,8 @@
 //
 // -quick shrinks problem sizes and the Figure 9 grid for a fast smoke pass.
 // -parallel bounds the simulations in flight (default: one per CPU).
-// -shards selects the partitioned-engine shard count: the machine figures
-// record it in their results (their coherence path is serial; see DESIGN.md),
-// and -exp meshscale sweeps the event-driven mesh over shard counts up to it.
+// -shards bounds -exp meshscale, which sweeps the event-driven mesh over
+// shard counts 1..n; the machine figures ignore it (machine runs are serial).
 // -progress renders a live per-batch status line on stderr.
 // -http serves a live dashboard (batch progress, expvar, pprof) on the given
 // address (e.g. localhost:8080) while the figures regenerate.
@@ -27,16 +26,15 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"runtime"
-	"runtime/pprof"
 	"sort"
 	"strings"
 	"time"
 
 	"pimdsm"
+	"pimdsm/internal/obs"
 )
 
 func main() {
@@ -49,7 +47,7 @@ func realMain() int {
 	threads := flag.Int("threads", 32, "application threads")
 	apps := flag.String("apps", "", "comma-separated app subset")
 	quick := flag.Bool("quick", false, "small scale and coarse grids")
-	shards := flag.Int("shards", 1, "partitioned-engine shard count (meshscale sweeps 1..n)")
+	shards := flag.Int("shards", 1, "largest shard count -exp meshscale sweeps (1..n)")
 	parallel := flag.Int("parallel", 0, "max simulations in flight (0 = one per CPU)")
 	progress := flag.Bool("progress", false, "render a live status line per batch on stderr")
 	httpAddr := flag.String("http", "", "serve a live dashboard on this address while running")
@@ -60,14 +58,14 @@ func realMain() int {
 	memprofile := flag.String("memprofile", "", "write heap profile to file on exit")
 	flag.Parse()
 
-	stop, err := startProfiles(*cpuprofile, *memprofile)
+	stop, err := obs.StartPprof(*cpuprofile, *memprofile)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
 	defer stop()
 
-	opt := pimdsm.Options{Scale: *scale, Threads: *threads, Parallel: *parallel, Shards: *shards}
+	opt := pimdsm.Options{Scale: *scale, Threads: *threads, Parallel: *parallel}
 	if *apps != "" {
 		opt.Apps = strings.Split(*apps, ",")
 	}
@@ -252,67 +250,10 @@ func realMain() int {
 	}
 
 	if code == 0 {
-		if err := writeObservers(opt, *tracePath, *metricsOut); err != nil {
+		if err := obs.WriteObservers(opt.Trace, opt.Metrics, *tracePath, "", *metricsOut); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			code = 1
 		}
 	}
 	return code
-}
-
-// writeObservers flushes the shared trace / metrics outputs, if requested.
-// Artifacts are written atomically (temp file + rename): a failed batch
-// never truncates the previous good trace or metrics dump.
-func writeObservers(opt pimdsm.Options, tracePath, metricsOut string) error {
-	if tracePath != "" {
-		err := pimdsm.WriteFileAtomic(tracePath, func(w io.Writer) error { return pimdsm.WriteChromeTrace(w, opt.Trace) })
-		if err != nil {
-			return fmt.Errorf("trace: %w", err)
-		}
-		if d := opt.Trace.Dropped(); d > 0 {
-			fmt.Fprintf(os.Stderr, "trace: ring full, oldest %d of %d events dropped (raise -trace-buf)\n",
-				d, opt.Trace.Total())
-		}
-	}
-	if metricsOut != "" {
-		if err := pimdsm.WriteFileAtomic(metricsOut, func(w io.Writer) error { return opt.Metrics.WriteJSON(w) }); err != nil {
-			return fmt.Errorf("metrics-out: %w", err)
-		}
-	}
-	return nil
-}
-
-// startProfiles starts the requested pprof profiles and returns a function
-// that flushes them; it must run before the process exits (so main returns an
-// exit code instead of calling os.Exit directly).
-func startProfiles(cpu, mem string) (stop func(), err error) {
-	var cpuFile *os.File
-	if cpu != "" {
-		cpuFile, err = os.Create(cpu)
-		if err != nil {
-			return nil, err
-		}
-		if err := pprof.StartCPUProfile(cpuFile); err != nil {
-			cpuFile.Close()
-			return nil, err
-		}
-	}
-	return func() {
-		if cpuFile != nil {
-			pprof.StopCPUProfile()
-			cpuFile.Close()
-		}
-		if mem != "" {
-			f, err := os.Create(mem)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "memprofile:", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC() // materialize the live set before snapshotting
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "memprofile:", err)
-			}
-		}
-	}, nil
 }

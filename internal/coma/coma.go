@@ -14,12 +14,12 @@ import (
 	"fmt"
 
 	"pimdsm/internal/cache"
+	"pimdsm/internal/core"
 	"pimdsm/internal/hashmap"
 	"pimdsm/internal/mesh"
 	"pimdsm/internal/obs"
 	"pimdsm/internal/proto"
 	"pimdsm/internal/sim"
-	"pimdsm/internal/stats"
 )
 
 type dirState uint8
@@ -50,11 +50,6 @@ type Config struct {
 	AMAssoc        int
 	OnChipFraction float64
 
-	// MaxInjectHops bounds an injection cascade before the line is swapped
-	// to disk. 0 means scan every node (with pressure < 100% space exists
-	// somewhere, so overflow to disk is then a true last resort).
-	MaxInjectHops int
-
 	Caches proto.CacheGeom
 	Timing proto.Timing
 	Costs  proto.HandlerCosts
@@ -73,7 +68,6 @@ func DefaultConfig(nodes int, amBytes uint64, l1, l2 uint64) Config {
 		AMBytes:        amBytes,
 		AMAssoc:        4,
 		OnChipFraction: 0.5,
-		MaxInjectHops:  0,
 		Caches:         proto.DefaultCacheGeom(l1, l2),
 		Timing:         proto.DefaultTiming(128),
 		Costs:          proto.AGGCosts().Scale(proto.HardwareScale),
@@ -83,8 +77,8 @@ func DefaultConfig(nodes int, amBytes uint64, l1, l2 uint64) Config {
 
 // Machine is the Flat COMA engine.
 type Machine struct {
+	core.Base
 	cfg Config
-	net *mesh.Mesh
 
 	caches []*proto.CacheSet
 	am     []*cache.LocalMemory
@@ -100,14 +94,6 @@ type Machine struct {
 	provider hashmap.Map[int] // line -> node that last supplied it (injection target)
 
 	allNodes []int
-	st       stats.Machine
-	trace    *obs.Trace
-	spans    *obs.Spans
-	prof     *obs.Profile
-
-	audit       bool
-	auditViol   uint64
-	auditSample []string
 }
 
 // New builds a COMA machine.
@@ -115,24 +101,9 @@ func New(cfg Config) (*Machine, error) {
 	if cfg.Nodes <= 0 {
 		return nil, fmt.Errorf("coma: need at least one node")
 	}
-	mc := cfg.Mesh
-	if mc.Width == 0 || mc.Height == 0 {
-		mc.Width = 8
-		if cfg.Nodes < 8 {
-			mc.Width = cfg.Nodes
-		}
-		mc.Height = (cfg.Nodes + mc.Width - 1) / mc.Width
-	}
-	net, err := mesh.New(mc)
-	if err != nil {
+	m := &Machine{cfg: cfg}
+	if err := m.Init("coma", cfg.Nodes, cfg.LineBytes, cfg.Mesh, m.access, m.auditAccess); err != nil {
 		return nil, err
-	}
-	m := &Machine{
-		cfg:   cfg,
-		net:   net,
-		trace: obs.Nop(),
-		spans: obs.NopSpans(),
-		prof:  obs.NopProfile(),
 	}
 	m.caches = make([]*proto.CacheSet, cfg.Nodes)
 	m.am = make([]*cache.LocalMemory, cfg.Nodes)
@@ -155,6 +126,11 @@ func New(cfg Config) (*Machine, error) {
 	for i := range m.allNodes {
 		m.allNodes[i] = i
 	}
+	// The home engines and paging devices are profiled; attraction-memory
+	// banks are not (they mostly serve the local CPU).
+	m.Resources(m.hproc, true, obs.ResProc, 0)
+	m.Resources(m.disk, true, obs.ResDisk, 0)
+	m.Resources(m.bank, false, 0, 0)
 	return m, nil
 }
 
@@ -167,104 +143,25 @@ func rank(s cache.State) int {
 	return 1
 }
 
-// LineBytes returns the coherence unit size.
-func (m *Machine) LineBytes() uint64 { return m.cfg.LineBytes }
-
-// Stats returns the machine's counters.
-func (m *Machine) Stats() *stats.Machine { return &m.st }
-
-// Mesh returns the interconnect.
-func (m *Machine) Mesh() *mesh.Mesh { return m.net }
-
-// SetFloor bounds every resource calendar, the mesh's included, by the
-// scheduler's low watermark f (see sim.Resource).
-func (m *Machine) SetFloor(f *sim.Time) {
-	sim.SetFloors(f, m.hproc, m.bank, m.disk)
-	m.net.SetFloor(f)
-}
-
-// SetTrace routes protocol trace events to t; nil disables.
-func (m *Machine) SetTrace(t *obs.Trace) {
-	if t == nil {
-		t = obs.Nop()
-	}
-	m.trace = t
-	m.net.SetTrace(t)
-}
-
-// SetSpans routes transaction-span phase marks to s (nil disables), on the
-// machine and its mesh.
-func (m *Machine) SetSpans(s *obs.Spans) {
-	if s == nil {
-		s = obs.NopSpans()
-	}
-	m.spans = s
-	m.net.SetSpans(s)
-}
-
-// SetProfile routes handler-class cycle attribution to p (nil disables), on
-// the machine and its mesh. The home engines and paging devices are covered;
-// attraction-memory banks are not (they mostly serve the local CPU).
-func (m *Machine) SetProfile(p *obs.Profile) {
-	if p == nil {
-		p = obs.NopProfile()
-	}
-	p.EnsureNodes(m.cfg.Nodes)
-	m.prof = p
-	m.net.SetProfile(p)
-}
-
-// FinishProfile folds the home engines' and paging devices' resource
-// accounting into the attached profile. Cold path, called once after a run.
-func (m *Machine) FinishProfile() {
-	if !m.prof.On() {
-		return
-	}
-	for h := range m.hproc {
-		b, a, w := m.hproc[h].Utilization()
-		m.prof.SetResource(h, obs.ResProc, b, a, w, m.hproc[h].FreeAt())
-		b, a, w = m.disk[h].Utilization()
-		m.prof.SetResource(h, obs.ResDisk, b, a, w, m.disk[h].FreeAt())
-	}
-	m.net.FoldProfile(m.prof)
-}
-
-// SetAudit enables the per-transaction coherence audit of the accessed
-// line's directory entry and master copy. Read-only: results stay
-// bit-identical.
-func (m *Machine) SetAudit(on bool) { m.audit = on }
-
-// AuditReport returns the violation count and bounded diagnostics.
-func (m *Machine) AuditReport() (uint64, []string) { return m.auditViol, m.auditSample }
-
-const maxAuditSamples = 8
-
-func (m *Machine) auditFail(format string, args ...any) {
-	m.auditViol++
-	if len(m.auditSample) < maxAuditSamples {
-		m.auditSample = append(m.auditSample, fmt.Sprintf(format, args...))
-	}
-}
-
 // auditAccess checks the flat-directory invariants for the accessed line:
 // exactly one master whose attraction memory really holds the line in the
 // owning state, membership of the master in the sharer vector, and no
 // residual master once a line is swapped out.
 func (m *Machine) auditAccess(addr uint64) {
-	line := m.alignLine(addr)
+	line := m.AlignLine(addr)
 	e, ok := m.dir.Get(line)
 	if !ok {
-		m.auditFail("line %#x: no directory entry after access", line)
+		m.AuditFail("line %#x: no directory entry after access", line)
 		return
 	}
 	switch e.state {
 	case dirUnfetched, dirSwapped:
 		if e.master != -1 {
-			m.auditFail("line %#x in state %d retains master %d", line, e.state, e.master)
+			m.AuditFail("line %#x in state %d retains master %d", line, e.state, e.master)
 		}
 	case dirShared, dirDirty:
 		if e.master < 0 || int(e.master) >= m.cfg.Nodes {
-			m.auditFail("line %#x has invalid master %d", line, e.master)
+			m.AuditFail("line %#x has invalid master %d", line, e.master)
 			return
 		}
 		want := cache.SharedMaster
@@ -272,21 +169,20 @@ func (m *Machine) auditAccess(addr uint64) {
 			want = cache.Dirty
 		}
 		if st, hit, _ := m.am[e.master].Lookup(line); !hit || st != want {
-			m.auditFail("line %#x: master %d holds %v (hit=%v), want %v", line, e.master, st, hit, want)
+			m.AuditFail("line %#x: master %d holds %v (hit=%v), want %v", line, e.master, st, hit, want)
 		}
 		if !e.sharers.Contains(int(e.master)) {
-			m.auditFail("line %#x: master %d missing from sharer vector", line, e.master)
+			m.AuditFail("line %#x: master %d missing from sharer vector", line, e.master)
 		}
 	default:
-		m.auditFail("line %#x in unknown directory state %d", line, e.state)
+		m.AuditFail("line %#x in unknown directory state %d", line, e.state)
 	}
 }
 
 // AMOf exposes a node's attraction memory for tests.
 func (m *Machine) AMOf(n int) *cache.LocalMemory { return m.am[n] }
 
-func (m *Machine) alignLine(addr uint64) uint64 { return addr &^ (m.cfg.LineBytes - 1) }
-func (m *Machine) pageOf(addr uint64) uint64    { return addr &^ (m.cfg.PageBytes - 1) }
+func (m *Machine) pageOf(addr uint64) uint64 { return addr &^ (m.cfg.PageBytes - 1) }
 
 func (m *Machine) homeFor(p int, addr uint64) int {
 	page := m.pageOf(addr)
@@ -294,7 +190,7 @@ func (m *Machine) homeFor(p int, addr uint64) int {
 	if !ok {
 		h = p
 		m.homes.Put(page, h)
-		m.st.FirstTouches++
+		m.St.FirstTouches++
 	}
 	return h
 }
@@ -321,33 +217,8 @@ func hopClass(p, home, supplier int) proto.LatClass {
 	return proto.Lat3Hop
 }
 
-// Access services a load or store by node p at time now.
-func (m *Machine) Access(now sim.Time, p int, addr uint64, write bool) (sim.Time, proto.LatClass) {
-	if m.spans.On() {
-		m.spans.Begin(now, int32(p), m.alignLine(addr), write)
-	}
-	done, class := m.access(now, p, addr, write)
-	if m.spans.On() {
-		m.spans.End(done, class)
-	}
-	if m.audit {
-		m.auditAccess(addr)
-	}
-	if write {
-		m.st.Write(class, done-now)
-	} else {
-		m.st.Read(class, done-now)
-	}
-	if m.trace.On() {
-		k := obs.EvRead
-		if write {
-			k = obs.EvWrite
-		}
-		m.trace.Emit(k, now, done-now, int32(p), m.alignLine(addr), uint64(class))
-	}
-	return done, class
-}
-
+// access services a load or store by node p at time now (Base.Access wraps
+// it with the instrumentation).
 func (m *Machine) access(now sim.Time, p int, addr uint64, write bool) (sim.Time, proto.LatClass) {
 	if hit, class, _ := m.caches[p].Lookup(addr, write); hit {
 		lat := m.cfg.Timing.L1Lat
@@ -358,7 +229,7 @@ func (m *Machine) access(now sim.Time, p int, addr uint64, write bool) (sim.Time
 	}
 
 	// Attraction memory.
-	line := m.alignLine(addr)
+	line := m.AlignLine(addr)
 	st, hit, onChip := m.am[p].Access(addr)
 	bankStart := m.bank[p].Acquire(now, m.cfg.Timing.MemBankOcc)
 	memLat := m.cfg.Timing.MemOffChip
@@ -383,22 +254,22 @@ func (m *Machine) access(now sim.Time, p int, addr uint64, write bool) (sim.Time
 // the home is remote, just handler occupancy when it is on chip.
 func (m *Machine) dirAt(t sim.Time, p, home int, occ sim.Time) sim.Time {
 	if home != p {
-		t = m.net.Send(t, p, home, m.net.ControlBytes())
-		if m.spans.On() {
-			m.spans.Mark(obs.PhaseNetRequest, t)
+		t = m.Net.Send(t, p, home, m.Net.ControlBytes())
+		if m.Spans.On() {
+			m.Spans.Mark(obs.PhaseNetRequest, t)
 		}
 	}
 	return m.hproc[home].Acquire(t, occ)
 }
 
 func (m *Machine) readMiss(reqT sim.Time, p, home int, addr, line uint64, e *dirEntry) (sim.Time, proto.LatClass) {
-	data := m.net.DataBytes(m.cfg.LineBytes)
-	ctrl := m.net.ControlBytes()
-	if m.spans.On() {
-		m.spans.Mark(obs.PhaseIssue, reqT)
+	data := m.Net.DataBytes(m.cfg.LineBytes)
+	ctrl := m.Net.ControlBytes()
+	if m.Spans.On() {
+		m.Spans.Mark(obs.PhaseIssue, reqT)
 	}
 	hs := m.dirAt(reqT, p, home, m.cfg.Costs.ReadOcc)
-	m.prof.Node(home, obs.ResProc, obs.HCDirLookup, m.cfg.Costs.ReadOcc)
+	m.Prof.Node(home, obs.ResProc, obs.HCDirLookup, m.cfg.Costs.ReadOcc)
 
 	var done sim.Time
 	supplier := home
@@ -409,10 +280,10 @@ func (m *Machine) readMiss(reqT sim.Time, p, home int, addr, line uint64, e *dir
 		// Zero-fill from the home's memory controller; the first toucher
 		// becomes the master.
 		m.bank[home].Acquire(hs, m.cfg.Timing.MemBankOcc)
-		if m.spans.On() {
-			m.spans.Mark(obs.PhaseDirOcc, hs+m.cfg.Costs.ReadLat)
+		if m.Spans.On() {
+			m.Spans.Mark(obs.PhaseDirOcc, hs+m.cfg.Costs.ReadLat)
 		}
-		done = m.net.Send(hs+m.cfg.Costs.ReadLat, home, p, data)
+		done = m.Net.Send(hs+m.cfg.Costs.ReadLat, home, p, data)
 		e.state = dirShared
 		e.master = int32(p)
 		e.sharers.Add(p)
@@ -420,14 +291,14 @@ func (m *Machine) readMiss(reqT sim.Time, p, home int, addr, line uint64, e *dir
 	case dirSwapped:
 		// The line was swapped out after an injection overflow.
 		ds := m.disk[home].Acquire(hs, m.cfg.Timing.DiskLat)
-		m.prof.Node(home, obs.ResDisk, obs.HCPageout, m.cfg.Timing.DiskLat)
-		if m.spans.On() {
-			m.spans.Mark(obs.PhaseDirOcc, ds+m.cfg.Timing.DiskLat)
+		m.Prof.Node(home, obs.ResDisk, obs.HCPageout, m.cfg.Timing.DiskLat)
+		if m.Spans.On() {
+			m.Spans.Mark(obs.PhaseDirOcc, ds+m.cfg.Timing.DiskLat)
 		}
-		done = m.net.Send(ds+m.cfg.Timing.DiskLat, home, p, data)
-		m.st.DiskFaults++
-		if m.trace.On() {
-			m.trace.Emit(obs.EvDiskFault, ds, 0, int32(home), line, 0)
+		done = m.Net.Send(ds+m.cfg.Timing.DiskLat, home, p, data)
+		m.St.DiskFaults++
+		if m.Trace.On() {
+			m.Trace.Emit(obs.EvDiskFault, ds, 0, int32(home), line, 0)
 		}
 		e.state = dirShared
 		e.master = int32(p)
@@ -442,21 +313,21 @@ func (m *Machine) readMiss(reqT sim.Time, p, home int, addr, line uint64, e *dir
 		var at sim.Time
 		if q == home {
 			at = hs
-			if m.spans.On() {
-				m.spans.Mark(obs.PhaseDirOcc, hs)
+			if m.Spans.On() {
+				m.Spans.Mark(obs.PhaseDirOcc, hs)
 			}
 		} else {
-			if m.spans.On() {
-				m.spans.Mark(obs.PhaseDirOcc, hs+m.cfg.Costs.ReadLat)
+			if m.Spans.On() {
+				m.Spans.Mark(obs.PhaseDirOcc, hs+m.cfg.Costs.ReadLat)
 			}
-			at = m.net.Send(hs+m.cfg.Costs.ReadLat, home, q, ctrl)
+			at = m.Net.Send(hs+m.cfg.Costs.ReadLat, home, q, ctrl)
 		}
 		qs := m.bank[q].Acquire(at, m.cfg.Timing.MemBankOcc)
 		sendT := qs + m.amLat(q, line)
-		if m.spans.On() {
-			m.spans.Mark(obs.PhaseOwnerFetch, sendT)
+		if m.Spans.On() {
+			m.Spans.Mark(obs.PhaseOwnerFetch, sendT)
 		}
-		done = m.net.Send(sendT, q, p, data)
+		done = m.Net.Send(sendT, q, p, data)
 		if e.state == dirDirty {
 			// Master downgrades but keeps mastership (flat COMA: no copy
 			// goes back to the home).
@@ -467,8 +338,8 @@ func (m *Machine) readMiss(reqT sim.Time, p, home int, addr, line uint64, e *dir
 		e.sharers.Add(p)
 		fillState = cache.Shared
 	}
-	if m.spans.On() {
-		m.spans.Mark(obs.PhaseNetReply, done)
+	if m.Spans.On() {
+		m.Spans.Mark(obs.PhaseNetReply, done)
 	}
 	class := hopClass(p, home, supplier)
 	m.fill(done, p, addr, fillState, false, supplier)
@@ -476,17 +347,17 @@ func (m *Machine) readMiss(reqT sim.Time, p, home int, addr, line uint64, e *dir
 }
 
 func (m *Machine) writeMiss(reqT sim.Time, p, home int, addr, line uint64, e *dirEntry, upgrade bool) (sim.Time, proto.LatClass) {
-	data := m.net.DataBytes(m.cfg.LineBytes)
-	ctrl := m.net.ControlBytes()
+	data := m.Net.DataBytes(m.cfg.LineBytes)
+	ctrl := m.Net.ControlBytes()
 
 	targets := e.sharers.Targets(nil, m.allNodes, p)
 	occ := m.cfg.Costs.ReadExOcc + m.cfg.Costs.InvalPerNode*sim.Time(len(targets))
-	if m.spans.On() {
-		m.spans.Mark(obs.PhaseIssue, reqT)
+	if m.Spans.On() {
+		m.Spans.Mark(obs.PhaseIssue, reqT)
 	}
 	hs := m.dirAt(reqT, p, home, occ)
-	m.prof.Node(home, obs.ResProc, obs.HCDirLookup, m.cfg.Costs.ReadExOcc)
-	m.prof.Node(home, obs.ResProc, obs.HCInval, occ-m.cfg.Costs.ReadExOcc)
+	m.Prof.Node(home, obs.ResProc, obs.HCDirLookup, m.cfg.Costs.ReadExOcc)
+	m.Prof.Node(home, obs.ResProc, obs.HCInval, occ-m.cfg.Costs.ReadExOcc)
 	replyT := hs + m.cfg.Costs.ReadExLat
 
 	var done sim.Time
@@ -495,30 +366,30 @@ func (m *Machine) writeMiss(reqT sim.Time, p, home int, addr, line uint64, e *di
 	switch {
 	case e.state == dirUnfetched:
 		m.bank[home].Acquire(hs, m.cfg.Timing.MemBankOcc)
-		if m.spans.On() {
-			m.spans.Mark(obs.PhaseDirOcc, replyT)
+		if m.Spans.On() {
+			m.Spans.Mark(obs.PhaseDirOcc, replyT)
 		}
-		done = m.net.Send(replyT, home, p, data)
+		done = m.Net.Send(replyT, home, p, data)
 	case e.state == dirSwapped:
 		ds := m.disk[home].Acquire(hs, m.cfg.Timing.DiskLat)
-		m.prof.Node(home, obs.ResDisk, obs.HCPageout, m.cfg.Timing.DiskLat)
-		if m.spans.On() {
-			m.spans.Mark(obs.PhaseDirOcc, ds+m.cfg.Timing.DiskLat)
+		m.Prof.Node(home, obs.ResDisk, obs.HCPageout, m.cfg.Timing.DiskLat)
+		if m.Spans.On() {
+			m.Spans.Mark(obs.PhaseDirOcc, ds+m.cfg.Timing.DiskLat)
 		}
-		done = m.net.Send(ds+m.cfg.Timing.DiskLat, home, p, data)
-		m.st.DiskFaults++
-		if m.trace.On() {
-			m.trace.Emit(obs.EvDiskFault, ds, 0, int32(home), line, 0)
+		done = m.Net.Send(ds+m.cfg.Timing.DiskLat, home, p, data)
+		m.St.DiskFaults++
+		if m.Trace.On() {
+			m.Trace.Emit(obs.EvDiskFault, ds, 0, int32(home), line, 0)
 		}
 	case upgrade:
 		// p holds a readable (non-master) copy; ownership grant only.
-		if m.spans.On() {
-			m.spans.Mark(obs.PhaseDirOcc, replyT)
+		if m.Spans.On() {
+			m.Spans.Mark(obs.PhaseDirOcc, replyT)
 		}
-		done = m.net.Send(replyT, home, p, ctrl)
-		m.st.Upgrades++
-		if m.trace.On() {
-			m.trace.Emit(obs.EvUpgrade, replyT, 0, int32(p), line, 0)
+		done = m.Net.Send(replyT, home, p, ctrl)
+		m.St.Upgrades++
+		if m.Trace.On() {
+			m.Trace.Emit(obs.EvUpgrade, replyT, 0, int32(p), line, 0)
 		}
 	default:
 		q := int(e.master)
@@ -529,38 +400,38 @@ func (m *Machine) writeMiss(reqT sim.Time, p, home int, addr, line uint64, e *di
 		var at sim.Time
 		if q == home {
 			at = hs
-			if m.spans.On() {
-				m.spans.Mark(obs.PhaseDirOcc, hs)
+			if m.Spans.On() {
+				m.Spans.Mark(obs.PhaseDirOcc, hs)
 			}
 		} else {
-			if m.spans.On() {
-				m.spans.Mark(obs.PhaseDirOcc, replyT)
+			if m.Spans.On() {
+				m.Spans.Mark(obs.PhaseDirOcc, replyT)
 			}
-			at = m.net.Send(replyT, home, q, ctrl)
+			at = m.Net.Send(replyT, home, q, ctrl)
 		}
 		qs := m.bank[q].Acquire(at, m.cfg.Timing.MemBankOcc)
 		sendT := qs + m.amLat(q, line)
-		if m.spans.On() {
-			m.spans.Mark(obs.PhaseOwnerFetch, sendT)
+		if m.Spans.On() {
+			m.Spans.Mark(obs.PhaseOwnerFetch, sendT)
 		}
-		done = m.net.Send(sendT, q, p, data)
+		done = m.Net.Send(sendT, q, p, data)
 	}
 	// The data/grant reply ends here; the invalidation-ack collection below
 	// only extends done, and that tail retires the span.
-	if m.spans.On() {
-		m.spans.Mark(obs.PhaseNetReply, done)
+	if m.Spans.On() {
+		m.Spans.Mark(obs.PhaseNetReply, done)
 	}
 
 	// Invalidate every other copy; acks race the data to the requester.
 	for _, q := range targets {
-		iv := m.net.Send(replyT, home, q, ctrl)
+		iv := m.Net.Send(replyT, home, q, ctrl)
 		m.am[q].Invalidate(line)
 		m.caches[q].InvalidateMemLine(line)
-		m.st.Invalidations++
-		if m.trace.On() {
-			m.trace.Emit(obs.EvInval, iv, 0, int32(q), line, 0)
+		m.St.Invalidations++
+		if m.Trace.On() {
+			m.Trace.Emit(obs.EvInval, iv, 0, int32(q), line, 0)
 		}
-		if ack := m.net.Send(iv, q, p, ctrl); ack > done {
+		if ack := m.Net.Send(iv, q, p, ctrl); ack > done {
 			done = ack
 		}
 	}
@@ -594,7 +465,7 @@ func (m *Machine) amLat(q int, line uint64) sim.Time {
 // Displaced non-master shared lines are dropped silently; a displaced master
 // must be injected into another attraction memory.
 func (m *Machine) fill(when sim.Time, p int, addr uint64, st cache.State, writable bool, supplier int) {
-	line := m.alignLine(addr)
+	line := m.AlignLine(addr)
 	m.provider.Put(line, supplier)
 	v := m.am[p].Insert(line, st, rank)
 	m.caches[p].Fill(addr, writable)
@@ -612,27 +483,24 @@ func (m *Machine) fill(when sim.Time, p int, addr uint64, st cache.State, writab
 // inject relocates a displaced master line (Joe & Hennessy): first to the
 // node that provided the line whose arrival caused the displacement, then
 // cascading node to node while the candidate sets are full of other masters.
-// If the cascade exceeds MaxInjectHops the line is swapped out to disk at
-// its home — COMA's overflow safety valve.
+// If the cascade visits every node without finding room (with pressure below
+// 100% space exists somewhere, so this is a true last resort) the line is
+// swapped out to disk at its home — COMA's overflow safety valve.
 func (m *Machine) inject(t sim.Time, from int, line uint64, st cache.State) {
 	e := m.entry(line)
 	if int(e.master) != from {
 		panic(fmt.Sprintf("coma: injecting %#x from %d but master is %d", line, from, e.master))
 	}
-	data := m.net.DataBytes(m.cfg.LineBytes)
+	data := m.Net.DataBytes(m.cfg.LineBytes)
 	target, _ := m.provider.Get(line)
 	if target == from || target < 0 || target >= m.cfg.Nodes {
 		target = (from + 1) % m.cfg.Nodes
 	}
 	cur := from
-	maxHops := m.cfg.MaxInjectHops
-	if maxHops <= 0 {
-		maxHops = m.cfg.Nodes
-	}
-	for hop := 0; hop < maxHops; hop++ {
-		arrive := m.net.Send(t, cur, target, data)
+	for hop := 0; hop < m.cfg.Nodes; hop++ {
+		arrive := m.Net.Send(t, cur, target, data)
 		hs := m.hproc[target].Acquire(arrive, m.cfg.Costs.WBOcc)
-		m.prof.Node(target, obs.ResProc, obs.HCWriteBack, m.cfg.Costs.WBOcc)
+		m.Prof.Node(target, obs.ResProc, obs.HCWriteBack, m.cfg.Costs.WBOcc)
 		m.bank[target].Acquire(hs, m.cfg.Timing.MemBankOcc)
 		v := m.am[target].ProbeVictim(line, rank)
 		if !v.State.Owned() {
@@ -643,10 +511,10 @@ func (m *Machine) inject(t sim.Time, from int, line uint64, st cache.State) {
 			e.master = int32(target)
 			e.sharers.Remove(from)
 			e.sharers.Add(target)
-			m.st.Injections++
-			m.st.InjectionHops += uint64(hop + 1)
-			if m.trace.On() {
-				m.trace.Emit(obs.EvInject, hs, 0, int32(target), line, uint64(hop+1))
+			m.St.Injections++
+			m.St.InjectionHops += uint64(hop + 1)
+			if m.Trace.On() {
+				m.Trace.Emit(obs.EvInject, hs, 0, int32(target), line, uint64(hop+1))
 			}
 			return
 		}
@@ -661,25 +529,25 @@ func (m *Machine) inject(t sim.Time, from int, line uint64, st cache.State) {
 	// Overflow: swap to disk at the home, invalidating the straggler
 	// non-master copies so no stale data survives.
 	home := m.homeFor(from, line)
-	arrive := m.net.Send(t, cur, home, data)
+	arrive := m.Net.Send(t, cur, home, data)
 	hs := m.hproc[home].Acquire(arrive, m.cfg.Costs.WBOcc)
-	m.prof.Node(home, obs.ResProc, obs.HCPageout, m.cfg.Costs.WBOcc)
+	m.Prof.Node(home, obs.ResProc, obs.HCPageout, m.cfg.Costs.WBOcc)
 	m.disk[home].Acquire(hs, m.cfg.Timing.DiskLat)
-	m.prof.Node(home, obs.ResDisk, obs.HCPageout, m.cfg.Timing.DiskLat)
+	m.Prof.Node(home, obs.ResDisk, obs.HCPageout, m.cfg.Timing.DiskLat)
 	for _, q := range e.sharers.Targets(nil, m.allNodes, from) {
-		iv := m.net.Send(hs, home, q, m.net.ControlBytes())
+		iv := m.Net.Send(hs, home, q, m.Net.ControlBytes())
 		m.am[q].Invalidate(line)
 		m.caches[q].InvalidateMemLine(line)
-		m.st.Invalidations++
-		if m.trace.On() {
-			m.trace.Emit(obs.EvInval, iv, 0, int32(q), line, 0)
+		m.St.Invalidations++
+		if m.Trace.On() {
+			m.Trace.Emit(obs.EvInval, iv, 0, int32(q), line, 0)
 		}
 	}
 	e.state = dirSwapped
 	e.master = -1
 	e.sharers.Clear()
-	m.st.Overflows++
-	if m.trace.On() {
-		m.trace.Emit(obs.EvOverflow, hs, 0, int32(home), line, 0)
+	m.St.Overflows++
+	if m.Trace.On() {
+		m.Trace.Emit(obs.EvOverflow, hs, 0, int32(home), line, 0)
 	}
 }

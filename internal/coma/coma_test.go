@@ -129,10 +129,10 @@ func TestMasterDisplacementInjects(t *testing.T) {
 }
 
 func TestInjectionOverflowSwapsToDisk(t *testing.T) {
-	// Both nodes' AMs are a single 4-line set; fill the machine with dirty
-	// masters so injection cascades fail and lines swap to disk.
+	// Both nodes' AMs are a single 4-line set; writing 16 dirty masters into
+	// 8 frames leaves every cascade (which visits every node) without room,
+	// so lines swap to disk.
 	cfg := DefaultConfig(2, 512, 256, 512)
-	cfg.MaxInjectHops = 3
 	m, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

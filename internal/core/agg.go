@@ -9,7 +9,6 @@ import (
 	"pimdsm/internal/obs"
 	"pimdsm/internal/proto"
 	"pimdsm/internal/sim"
-	"pimdsm/internal/stats"
 )
 
 // Config describes one AGG machine (§2 of the paper): PNodes compute nodes
@@ -87,8 +86,8 @@ func DefaultConfig(pNodes, dNodes int, pMemBytes uint64, dMemLines int, l1, l2 u
 // software directories, and the mesh, and services memory accesses with
 // transaction-atomic timing (see DESIGN.md §2).
 type Machine struct {
+	Base
 	cfg Config
-	net *mesh.Mesh
 
 	// Mesh placement: D-nodes are spread evenly among P-nodes.
 	pMesh, dMesh []int
@@ -107,15 +106,6 @@ type Machine struct {
 	homes    hashmap.Map[int] // page -> D-node (first touch, round robin)
 	nextHome int
 	allP     []int
-
-	st    stats.Machine
-	trace *obs.Trace
-	spans *obs.Spans
-	prof  *obs.Profile
-
-	audit       bool
-	auditViol   uint64
-	auditSample []string
 }
 
 // New builds an AGG machine.
@@ -124,23 +114,9 @@ func New(cfg Config) (*Machine, error) {
 		return nil, fmt.Errorf("core: need at least one P- and one D-node, got %d/%d", cfg.PNodes, cfg.DNodes)
 	}
 	total := cfg.PNodes + cfg.DNodes
-	mc := cfg.Mesh
-	if mc.Width == 0 || mc.Height == 0 {
-		mc.Width, mc.Height = meshDims(total)
-	}
-	if mc.Width*mc.Height < total {
-		return nil, fmt.Errorf("core: mesh %dx%d too small for %d nodes", mc.Width, mc.Height, total)
-	}
-	net, err := mesh.New(mc)
-	if err != nil {
+	m := &Machine{cfg: cfg}
+	if err := m.Init("core", total, cfg.LineBytes, cfg.Mesh, m.access, m.auditAccess); err != nil {
 		return nil, err
-	}
-	m := &Machine{
-		cfg:   cfg,
-		net:   net,
-		trace: obs.Nop(),
-		spans: obs.NopSpans(),
-		prof:  obs.NopProfile(),
 	}
 	m.pMesh, m.dMesh = Placement(total, cfg.PNodes, cfg.DNodes)
 	m.caches = make([]*proto.CacheSet, cfg.PNodes)
@@ -182,19 +158,11 @@ func New(cfg Config) (*Machine, error) {
 	for i := range m.allP {
 		m.allP[i] = i
 	}
+	m.Resources(m.pbank, false, 0, 0)
+	m.Resources(m.dproc, true, obs.ResProc, cfg.PNodes)
+	m.Resources(m.dbank, true, obs.ResMem, cfg.PNodes)
+	m.Resources(m.disk, true, obs.ResDisk, cfg.PNodes)
 	return m, nil
-}
-
-// meshDims picks a near-square mesh for n endpoints, preferring width 8
-// (the paper's machines are 8-wide meshes: 8x8 for 1/1AGG, 8x6 for 1/2AGG,
-// 8x5 for 1/4AGG, 8x4 for NUMA/COMA).
-func meshDims(n int) (w, h int) {
-	w = 8
-	if n < 8 {
-		w = n
-	}
-	h = (n + w - 1) / w
-	return w, h
 }
 
 // Placement spreads d D-nodes evenly among p P-nodes over mesh indices
@@ -218,96 +186,9 @@ func Placement(total, p, d int) (pMesh, dMesh []int) {
 	return pMesh, dMesh
 }
 
-// LineBytes returns the coherence unit size.
-func (m *Machine) LineBytes() uint64 { return m.cfg.LineBytes }
-
-// Stats returns the machine's event counters.
-func (m *Machine) Stats() *stats.Machine { return &m.st }
-
-// Mesh returns the interconnect (for traffic statistics).
-func (m *Machine) Mesh() *mesh.Mesh { return m.net }
-
-// SetFloor bounds every resource calendar, the mesh's included, by the
-// scheduler's low watermark f (see sim.Resource).
-func (m *Machine) SetFloor(f *sim.Time) {
-	sim.SetFloors(f, m.pbank, m.dproc, m.dbank, m.disk)
-	m.net.SetFloor(f)
-}
-
-// SetTrace routes protocol trace events to t (nil disables). P-node events
-// carry node IDs 0..PNodes-1; D-node events carry PNodes+d.
-func (m *Machine) SetTrace(t *obs.Trace) {
-	if t == nil {
-		t = obs.Nop()
-	}
-	m.trace = t
-	m.net.SetTrace(t)
-}
-
-// SetSpans routes transaction-span phase marks to s (nil disables), on the
-// machine and its mesh. Spans are record-only: timing never reads them.
-func (m *Machine) SetSpans(s *obs.Spans) {
-	if s == nil {
-		s = obs.NopSpans()
-	}
-	m.spans = s
-	m.net.SetSpans(s)
-}
-
-// SetProfile routes handler-class cycle attribution to p (nil disables), on
-// the machine and its mesh. Profiling is record-only: timing never reads it.
-func (m *Machine) SetProfile(p *obs.Profile) {
-	if p == nil {
-		p = obs.NopProfile()
-	}
-	p.EnsureNodes(m.cfg.PNodes + m.cfg.DNodes)
-	m.prof = p
-	m.net.SetProfile(p)
-}
-
-// FinishProfile folds the independent per-resource accounting — the
-// cross-check side of the profiler's Σclass == busy invariant — into the
-// attached profile. Cold path, called once after a run.
-func (m *Machine) FinishProfile() {
-	if !m.prof.On() {
-		return
-	}
-	for d := range m.dproc {
-		dn := int(m.dnode(d))
-		b, a, w := m.dproc[d].Utilization()
-		m.prof.SetResource(dn, obs.ResProc, b, a, w, m.dproc[d].FreeAt())
-		b, a, w = m.dbank[d].Utilization()
-		m.prof.SetResource(dn, obs.ResMem, b, a, w, m.dbank[d].FreeAt())
-		b, a, w = m.disk[d].Utilization()
-		m.prof.SetResource(dn, obs.ResDisk, b, a, w, m.disk[d].FreeAt())
-	}
-	m.net.FoldProfile(m.prof)
-}
-
 // profD attributes cycles held on D-node d's resource r to handler class c.
 func (m *Machine) profD(d int, r obs.NodeRes, c obs.HandlerClass, cy sim.Time) {
-	m.prof.Node(int(m.dnode(d)), r, c, cy)
-}
-
-// SetAudit enables the per-transaction coherence audit: after every access
-// retires, the accessed line's directory entry is checked against the
-// protocol invariants and the owning P-node's ground-truth memory state.
-// The audit only reads (cache lookups are the non-mutating variants), so
-// results stay bit-identical with auditing on.
-func (m *Machine) SetAudit(on bool) { m.audit = on }
-
-// AuditReport returns the violation count and up to maxAuditSamples
-// diagnostics collected since the machine was built.
-func (m *Machine) AuditReport() (uint64, []string) { return m.auditViol, m.auditSample }
-
-// maxAuditSamples bounds the diagnostic strings kept by the auditors.
-const maxAuditSamples = 8
-
-func (m *Machine) auditFail(format string, args ...any) {
-	m.auditViol++
-	if len(m.auditSample) < maxAuditSamples {
-		m.auditSample = append(m.auditSample, fmt.Sprintf(format, args...))
-	}
+	m.Prof.Node(int(m.dnode(d)), r, c, cy)
 }
 
 // auditAccess validates the accessed line's directory entry after a
@@ -315,58 +196,58 @@ func (m *Machine) auditFail(format string, args ...any) {
 // transaction can page out the accessed line's own page (pageout only
 // protects the victim's page).
 func (m *Machine) auditAccess(addr uint64) {
-	line := m.alignLine(addr)
+	line := m.AlignLine(addr)
 	d, ok := m.homes.Get(m.pageOf(line))
 	if !ok {
-		m.auditFail("line %#x: no home assigned after access", line)
+		m.AuditFail("line %#x: no home assigned after access", line)
 		return
 	}
 	dm := m.dmem[d]
 	e := dm.Entry(line)
 	if e == nil {
 		if !dm.PageOnDisk(m.pageOf(line)) {
-			m.auditFail("line %#x: unmapped at home D%d but not on disk", line, d)
+			m.AuditFail("line %#x: unmapped at home D%d but not on disk", line, d)
 		}
 		return
 	}
 	switch e.State {
 	case DirDirty:
 		if e.Master == HomeMaster || int(e.Master) >= m.cfg.PNodes {
-			m.auditFail("dirty line %#x has no valid owner (master %d)", line, e.Master)
+			m.AuditFail("dirty line %#x has no valid owner (master %d)", line, e.Master)
 			break
 		}
 		if !e.Sharers.Empty() {
-			m.auditFail("dirty line %#x has sharers recorded", line)
+			m.AuditFail("dirty line %#x has sharers recorded", line)
 		}
 		if st, hit, _ := m.pmem[e.Master].Lookup(line); !hit || st != cache.Dirty {
-			m.auditFail("dirty line %#x: owner P%d holds %v (hit=%v), want Dirty", line, e.Master, st, hit)
+			m.AuditFail("dirty line %#x: owner P%d holds %v (hit=%v), want Dirty", line, e.Master, st, hit)
 		}
 	case DirShared:
 		if e.Master == HomeMaster {
 			if !e.HasCopy() {
-				m.auditFail("shared line %#x mastered at home without a home copy", line)
+				m.AuditFail("shared line %#x mastered at home without a home copy", line)
 			}
 		} else {
 			if st, hit, _ := m.pmem[e.Master].Lookup(line); !hit || st != cache.SharedMaster {
-				m.auditFail("shared line %#x: master P%d holds %v (hit=%v), want SharedMaster", line, e.Master, st, hit)
+				m.AuditFail("shared line %#x: master P%d holds %v (hit=%v), want SharedMaster", line, e.Master, st, hit)
 			}
 			if !e.Sharers.Contains(int(e.Master)) {
-				m.auditFail("shared line %#x: master P%d missing from sharer vector", line, e.Master)
+				m.AuditFail("shared line %#x: master P%d missing from sharer vector", line, e.Master)
 			}
 		}
 	case DirHome:
 		if e.Master != HomeMaster {
-			m.auditFail("home-state line %#x claims master %d", line, e.Master)
+			m.AuditFail("home-state line %#x claims master %d", line, e.Master)
 		}
 		if e.Unfetched && e.HasCopy() {
-			m.auditFail("unfetched line %#x holds a Data slot", line)
+			m.AuditFail("unfetched line %#x holds a Data slot", line)
 		}
 	}
 	if err := dm.AuditEntry(e); err != nil {
-		m.auditFail("line %#x at D%d: %v", line, d, err)
+		m.AuditFail("line %#x at D%d: %v", line, d, err)
 	}
 	if err := dm.AuditFreeList(); err != nil {
-		m.auditFail("D%d: %v", d, err)
+		m.AuditFail("D%d: %v", d, err)
 	}
 }
 
@@ -376,8 +257,7 @@ func (m *Machine) dnode(d int) int32 { return int32(m.cfg.PNodes + d) }
 // Config returns the machine configuration.
 func (m *Machine) Config() Config { return m.cfg }
 
-func (m *Machine) alignLine(addr uint64) uint64 { return addr &^ (m.cfg.LineBytes - 1) }
-func (m *Machine) pageOf(addr uint64) uint64    { return addr &^ (m.cfg.PageBytes - 1) }
+func (m *Machine) pageOf(addr uint64) uint64 { return addr &^ (m.cfg.PageBytes - 1) }
 
 // homeFor returns the home D-node of addr's page, assigning it round-robin
 // on first touch and mapping the page into the D-node's directory (paging
@@ -390,7 +270,7 @@ func (m *Machine) homeFor(t sim.Time, addr uint64) (int, *DirEntry, sim.Time) {
 		d = m.nextHome % m.cfg.DNodes
 		m.nextHome++
 		m.homes.Put(page, d)
-		m.st.FirstTouches++
+		m.St.FirstTouches++
 	}
 	dm := m.dmem[d]
 	if !dm.PageMapped(page) {
@@ -414,36 +294,10 @@ func (m *Machine) ownerLat(p int, line uint64) sim.Time {
 	return m.cfg.Timing.MemOffChip
 }
 
-// Access services a load or store issued by P-node p at local time now.
-// It returns the completion time and the satisfaction class. State across
-// the whole machine is updated atomically; timing flows through the
-// contended resources (mesh links, D-node processors, DRAM interfaces).
-func (m *Machine) Access(now sim.Time, p int, addr uint64, write bool) (sim.Time, proto.LatClass) {
-	if m.spans.On() {
-		m.spans.Begin(now, int32(p), m.alignLine(addr), write)
-	}
-	done, class := m.access(now, p, addr, write)
-	if m.spans.On() {
-		m.spans.End(done, class)
-	}
-	if m.audit {
-		m.auditAccess(addr)
-	}
-	if write {
-		m.st.Write(class, done-now)
-	} else {
-		m.st.Read(class, done-now)
-	}
-	if m.trace.On() {
-		k := obs.EvRead
-		if write {
-			k = obs.EvWrite
-		}
-		m.trace.Emit(k, now, done-now, int32(p), m.alignLine(addr), uint64(class))
-	}
-	return done, class
-}
-
+// access services a load or store issued by P-node p at local time now
+// (Base.Access wraps it with the instrumentation). State across the whole
+// machine is updated atomically; timing flows through the contended
+// resources (mesh links, D-node processors, DRAM interfaces).
 func (m *Machine) access(now sim.Time, p int, addr uint64, write bool) (sim.Time, proto.LatClass) {
 	// SRAM caches.
 	if hit, class, _ := m.caches[p].Lookup(addr, write); hit {
@@ -483,15 +337,15 @@ func (m *Machine) access(now sim.Time, p int, addr uint64, write bool) (sim.Time
 
 // remoteRead runs a read transaction at the home D-node d.
 func (m *Machine) remoteRead(reqT sim.Time, p, d int, addr uint64, e *DirEntry) (sim.Time, proto.LatClass) {
-	line := m.alignLine(addr)
-	ctrl := m.net.ControlBytes()
-	data := m.net.DataBytes(m.cfg.LineBytes)
-	if m.spans.On() {
-		m.spans.Mark(obs.PhaseIssue, reqT)
+	line := m.AlignLine(addr)
+	ctrl := m.Net.ControlBytes()
+	data := m.Net.DataBytes(m.cfg.LineBytes)
+	if m.Spans.On() {
+		m.Spans.Mark(obs.PhaseIssue, reqT)
 	}
-	arrive := m.net.Send(reqT, m.pMesh[p], m.dMesh[d], ctrl)
-	if m.spans.On() {
-		m.spans.Mark(obs.PhaseNetRequest, arrive)
+	arrive := m.Net.Send(reqT, m.pMesh[p], m.dMesh[d], ctrl)
+	if m.Spans.On() {
+		m.Spans.Mark(obs.PhaseNetRequest, arrive)
 	}
 
 	var done sim.Time
@@ -509,26 +363,26 @@ func (m *Machine) remoteRead(reqT sim.Time, p, d int, addr uint64, e *DirEntry) 
 		}
 		hs := m.dproc[d].Acquire(arrive, m.cfg.Costs.ReadOcc)
 		m.profD(d, obs.ResProc, obs.HCDirLookup, m.cfg.Costs.ReadOcc)
-		if m.spans.On() {
-			m.spans.Mark(obs.PhaseDirOcc, hs+m.cfg.Costs.ReadLat)
+		if m.Spans.On() {
+			m.Spans.Mark(obs.PhaseDirOcc, hs+m.cfg.Costs.ReadLat)
 		}
-		fwd := m.net.Send(hs+m.cfg.Costs.ReadLat, m.dMesh[d], m.pMesh[owner], ctrl)
+		fwd := m.Net.Send(hs+m.cfg.Costs.ReadLat, m.dMesh[d], m.pMesh[owner], ctrl)
 		lat := m.ownerLat(owner, line)
 		ms := m.pbank[owner].Acquire(fwd, m.cfg.Timing.MemBankOcc)
 		sendT := ms + lat
-		if m.spans.On() {
-			m.spans.Mark(obs.PhaseOwnerFetch, sendT)
+		if m.Spans.On() {
+			m.Spans.Mark(obs.PhaseOwnerFetch, sendT)
 		}
-		done = m.net.Send(sendT, m.pMesh[owner], m.pMesh[p], data)
-		if m.spans.On() {
-			m.spans.Mark(obs.PhaseNetReply, done)
+		done = m.Net.Send(sendT, m.pMesh[owner], m.pMesh[p], data)
+		if m.Spans.On() {
+			m.Spans.Mark(obs.PhaseNetReply, done)
 		}
 		// Sharing write-back: the home regains an up-to-date copy ("its
 		// memory contains, in most of the cases, an up-to-date copy of all
 		// the lines ... that are not owned by any P-node", §2.2). The copy
 		// is optional: if no slot is free without paging out, the home
 		// stays copyless and later reads pay 3 hops via the master.
-		wbArr := m.net.Send(sendT, m.pMesh[owner], m.dMesh[d], data)
+		wbArr := m.Net.Send(sendT, m.pMesh[owner], m.dMesh[d], data)
 		ws := m.dproc[d].Acquire(wbArr, m.cfg.Costs.AckOcc)
 		m.profD(d, obs.ResProc, obs.HCWriteBack, m.cfg.Costs.AckOcc)
 		m.pmem[owner].SetState(line, cache.SharedMaster)
@@ -552,12 +406,12 @@ func (m *Machine) remoteRead(reqT sim.Time, p, d int, addr uint64, e *DirEntry) 
 			m.profD(d, obs.ResProc, obs.HCDirLookup, m.cfg.Costs.ReadOcc)
 			m.dbank[d].Acquire(hs, m.cfg.Timing.MemBankOcc)
 			m.profD(d, obs.ResMem, obs.HCDirLookup, m.cfg.Timing.MemBankOcc)
-			if m.spans.On() {
-				m.spans.Mark(obs.PhaseDirOcc, hs+m.cfg.Costs.ReadLat)
+			if m.Spans.On() {
+				m.Spans.Mark(obs.PhaseDirOcc, hs+m.cfg.Costs.ReadLat)
 			}
-			done = m.net.Send(hs+m.cfg.Costs.ReadLat, m.dMesh[d], m.pMesh[p], data)
-			if m.spans.On() {
-				m.spans.Mark(obs.PhaseNetReply, done)
+			done = m.Net.Send(hs+m.cfg.Costs.ReadLat, m.dMesh[d], m.pMesh[p], data)
+			if m.Spans.On() {
+				m.Spans.Mark(obs.PhaseNetReply, done)
 			}
 			if e.Master == HomeMaster {
 				// Hand mastership out so the home copy becomes droppable
@@ -579,23 +433,23 @@ func (m *Machine) remoteRead(reqT sim.Time, p, d int, addr uint64, e *DirEntry) 
 			}
 			hs := m.dproc[d].Acquire(arrive, m.cfg.Costs.ReadOcc)
 			m.profD(d, obs.ResProc, obs.HCDirLookup, m.cfg.Costs.ReadOcc)
-			if m.spans.On() {
-				m.spans.Mark(obs.PhaseDirOcc, hs+m.cfg.Costs.ReadLat)
+			if m.Spans.On() {
+				m.Spans.Mark(obs.PhaseDirOcc, hs+m.cfg.Costs.ReadLat)
 			}
-			fwd := m.net.Send(hs+m.cfg.Costs.ReadLat, m.dMesh[d], m.pMesh[master], ctrl)
+			fwd := m.Net.Send(hs+m.cfg.Costs.ReadLat, m.dMesh[d], m.pMesh[master], ctrl)
 			lat := m.ownerLat(master, line)
 			ms := m.pbank[master].Acquire(fwd, m.cfg.Timing.MemBankOcc)
-			if m.spans.On() {
-				m.spans.Mark(obs.PhaseOwnerFetch, ms+lat)
+			if m.Spans.On() {
+				m.Spans.Mark(obs.PhaseOwnerFetch, ms+lat)
 			}
-			done = m.net.Send(ms+lat, m.pMesh[master], m.pMesh[p], data)
-			if m.spans.On() {
-				m.spans.Mark(obs.PhaseNetReply, done)
+			done = m.Net.Send(ms+lat, m.pMesh[master], m.pMesh[p], data)
+			if m.Spans.On() {
+				m.Spans.Mark(obs.PhaseNetReply, done)
 			}
 			e.Sharers.Add(p)
 			// Re-acquire an optional home copy ("we try to keep shared
 			// lines in the home most of the time", §2.2.2).
-			wbArr := m.net.Send(ms+lat, m.pMesh[master], m.dMesh[d], data)
+			wbArr := m.Net.Send(ms+lat, m.pMesh[master], m.dMesh[d], data)
 			ws := m.dproc[d].Acquire(wbArr, m.cfg.Costs.AckOcc)
 			m.profD(d, obs.ResProc, obs.HCWriteBack, m.cfg.Costs.AckOcc)
 			if res, _ := m.dmem[d].EnsureSlot(e); res != AllocFailed {
@@ -615,21 +469,21 @@ func (m *Machine) remoteRead(reqT sim.Time, p, d int, addr uint64, e *DirEntry) 
 		if e.OnDisk {
 			t = m.disk[d].Acquire(t, m.cfg.Timing.DiskLat) + m.cfg.Timing.DiskLat
 			m.profD(d, obs.ResDisk, obs.HCPageout, m.cfg.Timing.DiskLat)
-			m.st.DiskFaults++
-			if m.trace.On() {
-				m.trace.Emit(obs.EvDiskFault, hs, 0, m.dnode(d), line, 0)
+			m.St.DiskFaults++
+			if m.Trace.On() {
+				m.Trace.Emit(obs.EvDiskFault, hs, 0, m.dnode(d), line, 0)
 			}
 		}
 		var stored bool
 		t, stored = m.ensureSlot(t, d, e)
 		m.dbank[d].Acquire(t, m.cfg.Timing.MemBankOcc)
 		m.profD(d, obs.ResMem, obs.HCListOps, m.cfg.Timing.MemBankOcc)
-		if m.spans.On() {
-			m.spans.Mark(obs.PhaseDirOcc, t+m.cfg.Costs.ReadLat)
+		if m.Spans.On() {
+			m.Spans.Mark(obs.PhaseDirOcc, t+m.cfg.Costs.ReadLat)
 		}
-		done = m.net.Send(t+m.cfg.Costs.ReadLat, m.dMesh[d], m.pMesh[p], data)
-		if m.spans.On() {
-			m.spans.Mark(obs.PhaseNetReply, done)
+		done = m.Net.Send(t+m.cfg.Costs.ReadLat, m.dMesh[d], m.pMesh[p], data)
+		if m.Spans.On() {
+			m.Spans.Mark(obs.PhaseNetReply, done)
 		}
 		e.State = DirShared
 		e.Master = int32(p)
@@ -651,15 +505,15 @@ func (m *Machine) remoteRead(reqT sim.Time, p, d int, addr uint64, e *DirEntry) 
 
 // remoteWrite runs a read-exclusive or upgrade transaction at the home.
 func (m *Machine) remoteWrite(reqT sim.Time, p, d int, addr uint64, e *DirEntry, upgrade bool) (sim.Time, proto.LatClass) {
-	line := m.alignLine(addr)
-	ctrl := m.net.ControlBytes()
-	data := m.net.DataBytes(m.cfg.LineBytes)
-	if m.spans.On() {
-		m.spans.Mark(obs.PhaseIssue, reqT)
+	line := m.AlignLine(addr)
+	ctrl := m.Net.ControlBytes()
+	data := m.Net.DataBytes(m.cfg.LineBytes)
+	if m.Spans.On() {
+		m.Spans.Mark(obs.PhaseIssue, reqT)
 	}
-	arrive := m.net.Send(reqT, m.pMesh[p], m.dMesh[d], ctrl)
-	if m.spans.On() {
-		m.spans.Mark(obs.PhaseNetRequest, arrive)
+	arrive := m.Net.Send(reqT, m.pMesh[p], m.dMesh[d], ctrl)
+	if m.Spans.On() {
+		m.Spans.Mark(obs.PhaseNetRequest, arrive)
 	}
 
 	var done sim.Time
@@ -674,28 +528,28 @@ func (m *Machine) remoteWrite(reqT sim.Time, p, d int, addr uint64, e *DirEntry,
 		}
 		hs := m.dproc[d].Acquire(arrive, m.cfg.Costs.ReadExOcc)
 		m.profD(d, obs.ResProc, obs.HCDirLookup, m.cfg.Costs.ReadExOcc)
-		if m.spans.On() {
-			m.spans.Mark(obs.PhaseDirOcc, hs+m.cfg.Costs.ReadExLat)
+		if m.Spans.On() {
+			m.Spans.Mark(obs.PhaseDirOcc, hs+m.cfg.Costs.ReadExLat)
 		}
-		fwd := m.net.Send(hs+m.cfg.Costs.ReadExLat, m.dMesh[d], m.pMesh[owner], ctrl)
+		fwd := m.Net.Send(hs+m.cfg.Costs.ReadExLat, m.dMesh[d], m.pMesh[owner], ctrl)
 		lat := m.ownerLat(owner, line)
 		ms := m.pbank[owner].Acquire(fwd, m.cfg.Timing.MemBankOcc)
 		sendT := ms + lat
-		if m.spans.On() {
-			m.spans.Mark(obs.PhaseOwnerFetch, sendT)
+		if m.Spans.On() {
+			m.Spans.Mark(obs.PhaseOwnerFetch, sendT)
 		}
-		done = m.net.Send(sendT, m.pMesh[owner], m.pMesh[p], data)
-		if m.spans.On() {
-			m.spans.Mark(obs.PhaseNetReply, done)
+		done = m.Net.Send(sendT, m.pMesh[owner], m.pMesh[p], data)
+		if m.Spans.On() {
+			m.Spans.Mark(obs.PhaseNetReply, done)
 		}
-		ackArr := m.net.Send(sendT, m.pMesh[owner], m.dMesh[d], ctrl)
+		ackArr := m.Net.Send(sendT, m.pMesh[owner], m.dMesh[d], ctrl)
 		m.dproc[d].Acquire(ackArr, m.cfg.Costs.AckOcc)
 		m.profD(d, obs.ResProc, obs.HCWriteBack, m.cfg.Costs.AckOcc)
 		m.pmem[owner].Invalidate(line)
 		m.caches[owner].InvalidateMemLine(line)
-		m.st.Invalidations++
-		if m.trace.On() {
-			m.trace.Emit(obs.EvInval, fwd, 0, int32(owner), line, 0)
+		m.St.Invalidations++
+		if m.Trace.On() {
+			m.Trace.Emit(obs.EvInval, fwd, 0, int32(owner), line, 0)
 		}
 		e.Master = int32(p)
 		class = proto.Lat3Hop
@@ -707,57 +561,57 @@ func (m *Machine) remoteWrite(reqT sim.Time, p, d int, addr uint64, e *DirEntry,
 		m.profD(d, obs.ResProc, obs.HCDirLookup, m.cfg.Costs.ReadExOcc)
 		m.profD(d, obs.ResProc, obs.HCInval, occ-m.cfg.Costs.ReadExOcc)
 		replyT := hs + m.cfg.Costs.ReadExLat
-		if m.spans.On() {
-			m.spans.Mark(obs.PhaseDirOcc, replyT)
+		if m.Spans.On() {
+			m.Spans.Mark(obs.PhaseDirOcc, replyT)
 		}
 
 		// Data (or grant) path first, since it may need the remote master's
 		// memory before that copy is invalidated.
 		switch {
 		case upgrade:
-			done = m.net.Send(replyT, m.dMesh[d], m.pMesh[p], ctrl)
-			m.st.Upgrades++
-			if m.trace.On() {
-				m.trace.Emit(obs.EvUpgrade, replyT, 0, int32(p), line, 0)
+			done = m.Net.Send(replyT, m.dMesh[d], m.pMesh[p], ctrl)
+			m.St.Upgrades++
+			if m.Trace.On() {
+				m.Trace.Emit(obs.EvUpgrade, replyT, 0, int32(p), line, 0)
 			}
 			class = proto.Lat2Hop
 		case e.HasCopy():
 			m.dbank[d].Acquire(hs, m.cfg.Timing.MemBankOcc)
 			m.profD(d, obs.ResMem, obs.HCDirLookup, m.cfg.Timing.MemBankOcc)
-			done = m.net.Send(replyT, m.dMesh[d], m.pMesh[p], data)
+			done = m.Net.Send(replyT, m.dMesh[d], m.pMesh[p], data)
 			class = proto.Lat2Hop
 		default:
 			master := int(e.Master)
 			if master == HomeMaster || master == p {
 				panic("core: shared line without home copy has no remote master")
 			}
-			fwd := m.net.Send(replyT, m.dMesh[d], m.pMesh[master], ctrl)
+			fwd := m.Net.Send(replyT, m.dMesh[d], m.pMesh[master], ctrl)
 			lat := m.ownerLat(master, line)
 			ms := m.pbank[master].Acquire(fwd, m.cfg.Timing.MemBankOcc)
-			if m.spans.On() {
-				m.spans.Mark(obs.PhaseOwnerFetch, ms+lat)
+			if m.Spans.On() {
+				m.Spans.Mark(obs.PhaseOwnerFetch, ms+lat)
 			}
-			done = m.net.Send(ms+lat, m.pMesh[master], m.pMesh[p], data)
+			done = m.Net.Send(ms+lat, m.pMesh[master], m.pMesh[p], data)
 			class = proto.Lat3Hop
 		}
-		if m.spans.On() {
+		if m.Spans.On() {
 			// The reply (data or grant) ends here; invalidation-ack
 			// collection below extends `done` and lands in retire.
-			m.spans.Mark(obs.PhaseNetReply, done)
+			m.Spans.Mark(obs.PhaseNetReply, done)
 		}
 
 		// Invalidations fan out from the home, staggered by the per-inval
 		// handler occupancy; each target acks directly to the requester
 		// (DASH-style ack collection).
 		for i, q := range targets {
-			iv := m.net.Send(replyT+sim.Time(i)*m.cfg.Costs.InvalPerNode, m.dMesh[d], m.pMesh[q], ctrl)
+			iv := m.Net.Send(replyT+sim.Time(i)*m.cfg.Costs.InvalPerNode, m.dMesh[d], m.pMesh[q], ctrl)
 			m.pmem[q].Invalidate(line)
 			m.caches[q].InvalidateMemLine(line)
-			m.st.Invalidations++
-			if m.trace.On() {
-				m.trace.Emit(obs.EvInval, iv, 0, int32(q), line, 0)
+			m.St.Invalidations++
+			if m.Trace.On() {
+				m.Trace.Emit(obs.EvInval, iv, 0, int32(q), line, 0)
 			}
-			ack := m.net.Send(iv, m.pMesh[q], m.pMesh[p], ctrl)
+			ack := m.Net.Send(iv, m.pMesh[q], m.pMesh[p], ctrl)
 			if ack > done {
 				done = ack
 			}
@@ -780,9 +634,9 @@ func (m *Machine) remoteWrite(reqT sim.Time, p, d int, addr uint64, e *DirEntry,
 		if e.OnDisk {
 			t = m.disk[d].Acquire(t, m.cfg.Timing.DiskLat) + m.cfg.Timing.DiskLat
 			m.profD(d, obs.ResDisk, obs.HCPageout, m.cfg.Timing.DiskLat)
-			m.st.DiskFaults++
-			if m.trace.On() {
-				m.trace.Emit(obs.EvDiskFault, hs, 0, m.dnode(d), line, 0)
+			m.St.DiskFaults++
+			if m.Trace.On() {
+				m.Trace.Emit(obs.EvDiskFault, hs, 0, m.dnode(d), line, 0)
 			}
 			// The data now travels to the writer; the home keeps no slot.
 			e.OnDisk = false
@@ -794,12 +648,12 @@ func (m *Machine) remoteWrite(reqT sim.Time, p, d int, addr uint64, e *DirEntry,
 		}
 		// Unfetched lines are satisfied by zero-fill: no slot was ever used.
 		e.Unfetched = false
-		if m.spans.On() {
-			m.spans.Mark(obs.PhaseDirOcc, t+m.cfg.Costs.ReadExLat)
+		if m.Spans.On() {
+			m.Spans.Mark(obs.PhaseDirOcc, t+m.cfg.Costs.ReadExLat)
 		}
-		done = m.net.Send(t+m.cfg.Costs.ReadExLat, m.dMesh[d], m.pMesh[p], data)
-		if m.spans.On() {
-			m.spans.Mark(obs.PhaseNetReply, done)
+		done = m.Net.Send(t+m.cfg.Costs.ReadExLat, m.dMesh[d], m.pMesh[p], data)
+		if m.Spans.On() {
+			m.Spans.Mark(obs.PhaseNetReply, done)
 		}
 		e.State = DirDirty
 		e.Master = int32(p)
@@ -838,7 +692,7 @@ func pmemRank(s cache.State) int {
 // back to their home — which always accepts them — while plain shared copies
 // are dropped silently.
 func (m *Machine) fill(when sim.Time, p int, addr uint64, st cache.State, writable bool) {
-	line := m.alignLine(addr)
+	line := m.AlignLine(addr)
 	v := m.pmem[p].Insert(line, st, pmemRank)
 	m.caches[p].Fill(addr, writable)
 	if !v.Valid() {
@@ -863,12 +717,12 @@ func (m *Machine) writeBack(t sim.Time, p int, line uint64, st cache.State) {
 	if e == nil {
 		panic("core: write-back to an unmapped page (recall should have preceded unmap)")
 	}
-	arrive := m.net.Send(t, m.pMesh[p], m.dMesh[d], m.net.DataBytes(m.cfg.LineBytes))
+	arrive := m.Net.Send(t, m.pMesh[p], m.dMesh[d], m.Net.DataBytes(m.cfg.LineBytes))
 	hs := m.dproc[d].Acquire(arrive, m.cfg.Costs.WBOcc)
 	m.profD(d, obs.ResProc, obs.HCWriteBack, m.cfg.Costs.WBOcc)
-	m.st.WriteBacks++
-	if m.trace.On() {
-		m.trace.Emit(obs.EvWriteBack, t, 0, int32(p), line, 0)
+	m.St.WriteBacks++
+	if m.Trace.On() {
+		m.Trace.Emit(obs.EvWriteBack, t, 0, int32(p), line, 0)
 	}
 
 	switch st {
@@ -927,8 +781,8 @@ func (m *Machine) ensureSlot(t sim.Time, d int, e *DirEntry) (sim.Time, bool) {
 	if res, _ := dm.EnsureSlot(e); res != AllocFailed {
 		// The FreeList drain toward the pageout threshold is the curve the
 		// paper's crisis analysis cares about; sample it per allocation.
-		if m.trace.On() {
-			m.trace.Emit(obs.EvOcc, t, 0, m.dnode(d), 0, uint64(dm.FreeLen()))
+		if m.Trace.On() {
+			m.Trace.Emit(obs.EvOcc, t, 0, m.dnode(d), 0, uint64(dm.FreeLen()))
 		}
 		if dm.NeedPageout() {
 			m.pageout(t, d, e.Addr, true) // background refill of the FreeList
@@ -940,9 +794,9 @@ func (m *Machine) ensureSlot(t sim.Time, d int, e *DirEntry) (sim.Time, bool) {
 	}
 	// Crisis: nothing reusable. Stall on pageouts — the effect of the
 	// paper's high-priority pause interrupt.
-	m.st.CrisisPauses++
-	if m.trace.On() {
-		m.trace.Emit(obs.EvCrisis, t, 0, m.dnode(d), e.Addr, uint64(dm.FreeLen()))
+	m.St.CrisisPauses++
+	if m.Trace.On() {
+		m.Trace.Emit(obs.EvCrisis, t, 0, m.dnode(d), e.Addr, uint64(dm.FreeLen()))
 	}
 	for attempt := 0; attempt < 4; attempt++ {
 		t = m.pageout(t, d, e.Addr, true)
@@ -971,9 +825,9 @@ func (m *Machine) spill(t sim.Time, d int, e *DirEntry) {
 	e.Sharers.Clear()
 	e.Unfetched = false
 	e.OnDisk = true
-	m.st.Overflows++
-	if m.trace.On() {
-		m.trace.Emit(obs.EvOverflow, t, 0, m.dnode(d), e.Addr, 0)
+	m.St.Overflows++
+	if m.Trace.On() {
+		m.Trace.Emit(obs.EvOverflow, t, 0, m.dnode(d), e.Addr, 0)
 	}
 }
 
@@ -987,8 +841,8 @@ func (m *Machine) pageout(t sim.Time, d int, protect uint64, wantSlots bool) sim
 	dm := m.dmem[d]
 	start := t
 	var recallWait sim.Time
-	ctrl := m.net.ControlBytes()
-	data := m.net.DataBytes(m.cfg.LineBytes)
+	ctrl := m.Net.ControlBytes()
+	data := m.Net.DataBytes(m.cfg.LineBytes)
 	processed := 0
 	for processed < m.cfg.PageoutBatch || (wantSlots && dm.FreeLen() == 0) {
 		cands := dm.PageoutCandidates(1, protect)
@@ -1003,44 +857,44 @@ func (m *Machine) pageout(t sim.Time, d int, protect uint64, wantSlots bool) sim
 			case DirDirty:
 				// Recall the only copy from its owner.
 				owner := int(e.Master)
-				rq := m.net.Send(t, m.dMesh[d], m.pMesh[owner], ctrl)
+				rq := m.Net.Send(t, m.dMesh[d], m.pMesh[owner], ctrl)
 				ms := m.pbank[owner].Acquire(rq, m.cfg.Timing.MemBankOcc)
-				back := m.net.Send(ms+m.ownerLat(owner, e.Addr), m.pMesh[owner], m.dMesh[d], data)
+				back := m.Net.Send(ms+m.ownerLat(owner, e.Addr), m.pMesh[owner], m.dMesh[d], data)
 				if back > lastArrive {
 					lastArrive = back
 				}
 				m.pmem[owner].Invalidate(e.Addr)
 				m.caches[owner].InvalidateMemLine(e.Addr)
-				m.st.Recalls++
-				if m.trace.On() {
-					m.trace.Emit(obs.EvRecall, rq, 0, int32(owner), e.Addr, 0)
+				m.St.Recalls++
+				if m.Trace.On() {
+					m.Trace.Emit(obs.EvRecall, rq, 0, int32(owner), e.Addr, 0)
 				}
 			case DirShared:
 				// Recall the master copy if the home dropped its own, and
 				// invalidate every sharer.
 				if !e.HasCopy() && e.Master != HomeMaster {
 					master := int(e.Master)
-					rq := m.net.Send(t, m.dMesh[d], m.pMesh[master], ctrl)
+					rq := m.Net.Send(t, m.dMesh[d], m.pMesh[master], ctrl)
 					ms := m.pbank[master].Acquire(rq, m.cfg.Timing.MemBankOcc)
-					back := m.net.Send(ms+m.ownerLat(master, e.Addr), m.pMesh[master], m.dMesh[d], data)
+					back := m.Net.Send(ms+m.ownerLat(master, e.Addr), m.pMesh[master], m.dMesh[d], data)
 					if back > lastArrive {
 						lastArrive = back
 					}
-					m.st.Recalls++
-					if m.trace.On() {
-						m.trace.Emit(obs.EvRecall, rq, 0, int32(master), e.Addr, 0)
+					m.St.Recalls++
+					if m.Trace.On() {
+						m.Trace.Emit(obs.EvRecall, rq, 0, int32(master), e.Addr, 0)
 					}
 				}
 				for _, q := range e.Sharers.Targets(nil, m.allP, -1) {
-					iv := m.net.Send(t, m.dMesh[d], m.pMesh[q], ctrl)
+					iv := m.Net.Send(t, m.dMesh[d], m.pMesh[q], ctrl)
 					if iv > lastArrive {
 						lastArrive = iv
 					}
 					m.pmem[q].Invalidate(e.Addr)
 					m.caches[q].InvalidateMemLine(e.Addr)
-					m.st.Invalidations++
-					if m.trace.On() {
-						m.trace.Emit(obs.EvInval, iv, 0, int32(q), e.Addr, 0)
+					m.St.Invalidations++
+					if m.Trace.On() {
+						m.Trace.Emit(obs.EvInval, iv, 0, int32(q), e.Addr, 0)
 					}
 				}
 			}
@@ -1060,10 +914,10 @@ func (m *Machine) pageout(t sim.Time, d int, protect uint64, wantSlots bool) sim
 		if err := dm.UnmapPage(page); err != nil {
 			panic(fmt.Sprintf("core: pageout unmap failed: %v", err))
 		}
-		m.st.Pageouts++
+		m.St.Pageouts++
 		processed++
-		if m.trace.On() {
-			m.trace.Emit(obs.EvPageout, t, 0, m.dnode(d), page, uint64(dm.FreeLen()))
+		if m.Trace.On() {
+			m.Trace.Emit(obs.EvPageout, t, 0, m.dnode(d), page, uint64(dm.FreeLen()))
 		}
 	}
 	if t > start {
@@ -1074,8 +928,8 @@ func (m *Machine) pageout(t sim.Time, d int, protect uint64, wantSlots bool) sim
 		m.profD(d, obs.ResProc, obs.HCRecall, recallWait)
 		m.profD(d, obs.ResProc, obs.HCPageout, (t-start)-recallWait)
 	}
-	if m.trace.On() {
-		m.trace.Emit(obs.EvOcc, t, 0, m.dnode(d), 0, uint64(dm.FreeLen()))
+	if m.Trace.On() {
+		m.Trace.Emit(obs.EvOcc, t, 0, m.dnode(d), 0, uint64(dm.FreeLen()))
 	}
 	return t
 }

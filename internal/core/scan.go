@@ -24,9 +24,9 @@ func (m *Machine) Scan(now sim.Time, p int, addr uint64, lines int, selBytes uin
 	if lines <= 0 {
 		return now
 	}
-	ctrl := m.net.ControlBytes()
+	ctrl := m.Net.ControlBytes()
 	done := now
-	cur := m.alignLine(addr)
+	cur := m.AlignLine(addr)
 	remaining := lines
 	for remaining > 0 {
 		page := m.pageOf(cur)
@@ -36,7 +36,7 @@ func (m *Machine) Scan(now sim.Time, p int, addr uint64, lines int, selBytes uin
 		}
 		d, _, t := m.homeFor(now, cur)
 		dm := m.dmem[d]
-		arrive := m.net.Send(t, m.pMesh[p], m.dMesh[d], ctrl)
+		arrive := m.Net.Send(t, m.pMesh[p], m.dMesh[d], ctrl)
 		hs := m.dproc[d].Acquire(arrive, sim.Time(inPage)*m.cfg.ScanPerLine)
 		m.profD(d, obs.ResProc, obs.HCScan, sim.Time(inPage)*m.cfg.ScanPerLine)
 		tl := hs
@@ -47,15 +47,15 @@ func (m *Machine) Scan(now sim.Time, p int, addr uint64, lines int, selBytes uin
 				(e.State == DirDirty || (e.State == DirShared && e.Master != HomeMaster))
 			if needRecall {
 				owner := int(e.Master)
-				rq := m.net.Send(tl, m.dMesh[d], m.pMesh[owner], ctrl)
+				rq := m.Net.Send(tl, m.dMesh[d], m.pMesh[owner], ctrl)
 				os := m.pbank[owner].Acquire(rq, m.cfg.Timing.MemBankOcc)
-				back := m.net.Send(os+m.ownerLat(owner, e.Addr), m.pMesh[owner], m.dMesh[d], m.net.DataBytes(m.cfg.LineBytes))
+				back := m.Net.Send(os+m.ownerLat(owner, e.Addr), m.pMesh[owner], m.dMesh[d], m.Net.DataBytes(m.cfg.LineBytes))
 				if back > lastRecall {
 					lastRecall = back
 				}
-				m.st.Recalls++
-				if m.trace.On() {
-					m.trace.Emit(obs.EvRecall, rq, 0, int32(owner), e.Addr, 0)
+				m.St.Recalls++
+				if m.Trace.On() {
+					m.Trace.Emit(obs.EvRecall, rq, 0, int32(owner), e.Addr, 0)
 				}
 				// Downgrade the owner; it keeps a shared-master copy and
 				// stays the master, so the home's new copy is droppable.
@@ -76,9 +76,9 @@ func (m *Machine) Scan(now sim.Time, p int, addr uint64, lines int, selBytes uin
 				ds := m.disk[d].Acquire(tl, m.cfg.Timing.DiskLat)
 				m.profD(d, obs.ResDisk, obs.HCScan, m.cfg.Timing.DiskLat)
 				tl = ds + m.cfg.Timing.DiskLat
-				m.st.DiskFaults++
-				if m.trace.On() {
-					m.trace.Emit(obs.EvDiskFault, ds, 0, m.dnode(d), e.Addr, 0)
+				m.St.DiskFaults++
+				if m.Trace.On() {
+					m.Trace.Emit(obs.EvDiskFault, ds, 0, m.dnode(d), e.Addr, 0)
 				}
 				// Keep the faulted data if room exists; otherwise it is
 				// consumed in flight and the line stays on disk.
@@ -91,7 +91,7 @@ func (m *Machine) Scan(now sim.Time, p int, addr uint64, lines int, selBytes uin
 			m.dbank[d].Acquire(tl, m.cfg.Timing.MemBankOcc)
 			m.profD(d, obs.ResMem, obs.HCScan, m.cfg.Timing.MemBankOcc)
 			tl += m.cfg.ScanPerLine
-			m.st.ScanLines++
+			m.St.ScanLines++
 		}
 		if lastRecall > tl {
 			tl = lastRecall
@@ -100,18 +100,18 @@ func (m *Machine) Scan(now sim.Time, p int, addr uint64, lines int, selBytes uin
 		if tl > hs {
 			m.profD(d, obs.ResProc, obs.HCScan, tl-hs)
 		}
-		if m.trace.On() {
-			m.trace.Emit(obs.EvScan, hs, tl-hs, m.dnode(d), page, uint64(inPage))
+		if m.Trace.On() {
+			m.Trace.Emit(obs.EvScan, hs, tl-hs, m.dnode(d), page, uint64(inPage))
 		}
 		// Ship this page's share of the selected records.
 		sel := selBytes * uint64(inPage) / uint64(lines)
-		pd := m.net.Send(tl, m.dMesh[d], m.pMesh[p], m.net.DataBytes(sel))
+		pd := m.Net.Send(tl, m.dMesh[d], m.pMesh[p], m.Net.DataBytes(sel))
 		if pd > done {
 			done = pd
 		}
 		cur += uint64(inPage) * m.cfg.LineBytes
 		remaining -= inPage
 	}
-	m.st.Scans++
+	m.St.Scans++
 	return done
 }

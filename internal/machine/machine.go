@@ -45,18 +45,6 @@ type Config struct {
 	// DNodes overrides DRatio with an explicit D-node count (Figure 9/10).
 	DNodes int
 
-	// Shards selects the partitioned-engine shard count requested for this
-	// run (0 means 1; negative is rejected). The coherence path of all three
-	// machines is synchronous-state — a transaction mutates remote directory
-	// and cache state at call time, serialized by the global (clock, id)
-	// scheduler order, so its protocol lookahead is zero — and therefore
-	// always executes serially regardless of Shards; results are
-	// bit-identical for every value. The setting is validated, recorded in
-	// Result.Shards alongside GOMAXPROCS for benchmark provenance, and the
-	// partitioned engine itself parallelizes the event-driven mesh path
-	// (mesh.Events; see DESIGN.md, "Conservative-window PDES").
-	Shards int
-
 	// PMemBytesOverride fixes the per-P-node memory instead of deriving it
 	// from Pressure (Figure 9 keeps per-node memory constant as nodes are
 	// added).
@@ -113,9 +101,10 @@ type Result struct {
 	Threads int
 	PNodes  int
 	DNodes  int
-	// Shards echoes the validated Config.Shards. The coherence path runs
-	// serially at any value (see Config.Shards), so this is provenance, not
-	// a parallelism knob for this Result.
+	// Shards is always 1: machine runs are serial (DESIGN.md §8.1). The
+	// field stays because Result has no JSON tags, so it is part of the
+	// encoded result bytes that the perfbench reference digests and persisted
+	// service caches pin; removing it would change every cached result.
 	Shards int
 
 	Breakdown stats.Breakdown
@@ -245,12 +234,6 @@ func Size(cfg Config, fp uint64) (Sizing, error) {
 
 // Run executes one simulation and returns its measurements.
 func Run(cfg Config) (*Result, error) {
-	if cfg.Shards < 0 {
-		return nil, fmt.Errorf("machine: negative shard count %d", cfg.Shards)
-	}
-	if cfg.Shards == 0 {
-		cfg.Shards = 1
-	}
 	app, err := workload.New(cfg.App)
 	if err != nil {
 		return nil, err
@@ -324,7 +307,7 @@ func Run(cfg Config) (*Result, error) {
 		Threads:     cfg.Threads,
 		PNodes:      sz.PNodes,
 		DNodes:      sz.DNodes,
-		Shards:      cfg.Shards,
+		Shards:      1,
 		PhaseEnd:    make(map[int]sim.Time),
 		TotalDRAM:   sz.TotalDRAM,
 		PMemBytes:   sz.PMemBytes,

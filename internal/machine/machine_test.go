@@ -1,10 +1,14 @@
 package machine
 
 import (
-	"reflect"
+	"strings"
 	"testing"
 
+	"pimdsm/internal/coma"
+	"pimdsm/internal/core"
+	"pimdsm/internal/numa"
 	"pimdsm/internal/proto"
+	"pimdsm/internal/sim"
 	"pimdsm/internal/workload"
 )
 
@@ -162,39 +166,59 @@ func TestLatencyClassesPopulated(t *testing.T) {
 	}
 }
 
-// TestShardsSerialEquivalence pins the Config.Shards contract: the coherence
-// path has zero protocol lookahead, so the machine core runs serially at any
-// shard count and results must be bit-identical across all of them — Shards
-// is recorded provenance, never a result-changing knob.
-func TestShardsSerialEquivalence(t *testing.T) {
+// accessor is the part of a machine the skeleton tests drive.
+type accessor interface {
+	Access(now sim.Time, p int, addr uint64, write bool) (sim.Time, proto.LatClass)
+}
+
+// newTiny builds a small machine of the given architecture with nodes mesh
+// endpoints (AGG splits them evenly into P- and D-nodes) on a w x h mesh
+// (0 x 0 derives the mesh from the node count).
+func newTiny(arch Arch, nodes, w, h int) (accessor, error) {
+	switch arch {
+	case AGG:
+		c := core.DefaultConfig(nodes/2, nodes/2, 1<<20, 4096, 8192, 32768)
+		c.Mesh.Width, c.Mesh.Height = w, h
+		return core.New(c)
+	case NUMA:
+		c := numa.DefaultConfig(nodes, 1<<20, 8192, 32768)
+		c.Mesh.Width, c.Mesh.Height = w, h
+		return numa.New(c)
+	default:
+		c := coma.DefaultConfig(nodes, 1<<20, 8192, 32768)
+		c.Mesh.Width, c.Mesh.Height = w, h
+		return coma.New(c)
+	}
+}
+
+// TestNewRejectsSmallMesh: an explicit mesh with fewer endpoints than the
+// machine has nodes is a construction error on every machine, not a later
+// out-of-range panic in Mesh.Send.
+func TestNewRejectsSmallMesh(t *testing.T) {
 	for _, arch := range []Arch{AGG, NUMA, COMA} {
-		base := smallCfg(arch, "fft")
-		ref, err := Run(base)
+		if _, err := newTiny(arch, 8, 2, 2); err == nil || !strings.Contains(err.Error(), "too small") {
+			t.Errorf("%s: 8 nodes on a 2x2 mesh: err = %v, want a too-small error", arch, err)
+		}
+		if _, err := newTiny(arch, 8, 4, 2); err != nil {
+			t.Errorf("%s: 8 nodes on a 4x2 mesh: %v", arch, err)
+		}
+	}
+}
+
+// TestAccessHitZeroAlloc pins the shared Access wrapper's L1-hit path at
+// zero heap allocations on every machine, with observers off.
+func TestAccessHitZeroAlloc(t *testing.T) {
+	for _, arch := range []Arch{AGG, NUMA, COMA} {
+		m, err := newTiny(arch, 4, 0, 0)
 		if err != nil {
 			t.Fatalf("%s: %v", arch, err)
 		}
-		if ref.Shards != 1 {
-			t.Fatalf("%s: zero Shards not normalized to 1: %d", arch, ref.Shards)
+		now, _ := m.Access(0, 0, 0x1000, false)
+		if _, class := m.Access(now, 0, 0x1000, false); class != proto.LatL1 {
+			t.Fatalf("%s: warmed access satisfied at %v, want an L1 hit", arch, class)
 		}
-		for _, k := range []int{2, 8} {
-			cfg := base
-			cfg.Shards = k
-			res, err := Run(cfg)
-			if err != nil {
-				t.Fatalf("%s shards=%d: %v", arch, k, err)
-			}
-			if res.Shards != k {
-				t.Fatalf("%s: Shards=%d not recorded: %d", arch, k, res.Shards)
-			}
-			res.Shards = ref.Shards
-			if !reflect.DeepEqual(res, ref) {
-				t.Errorf("%s: shards=%d changed results:\n%+v\nvs\n%+v", arch, k, res, ref)
-			}
+		if n := testing.AllocsPerRun(1000, func() { now, _ = m.Access(now, 0, 0x1000, false) }); n != 0 {
+			t.Errorf("%s: L1-hit Access allocates %v times per call, want 0", arch, n)
 		}
-	}
-	bad := smallCfg(AGG, "fft")
-	bad.Shards = -1
-	if _, err := Run(bad); err == nil {
-		t.Error("negative shard count accepted")
 	}
 }

@@ -18,7 +18,6 @@ import (
 	"pimdsm/internal/obs"
 	"pimdsm/internal/proto"
 	"pimdsm/internal/sim"
-	"pimdsm/internal/stats"
 )
 
 // DirState is the home directory state of a memory line.
@@ -76,8 +75,8 @@ func DefaultConfig(nodes int, memBytes uint64, l1, l2 uint64) Config {
 
 // Machine is the CC-NUMA engine.
 type Machine struct {
+	core.Base
 	cfg Config
-	net *mesh.Mesh
 
 	caches []*proto.CacheSet
 	onchip []*cache.SetAssoc // presence tracker: which local lines are on chip
@@ -91,14 +90,6 @@ type Machine struct {
 	homes   hashmap.Map[int] // page -> home node (first touch)
 
 	allNodes []int
-	st       stats.Machine
-	trace    *obs.Trace
-	spans    *obs.Spans
-	prof     *obs.Profile
-
-	audit       bool
-	auditViol   uint64
-	auditSample []string
 }
 
 // New builds a NUMA machine.
@@ -106,24 +97,9 @@ func New(cfg Config) (*Machine, error) {
 	if cfg.Nodes <= 0 {
 		return nil, fmt.Errorf("numa: need at least one node")
 	}
-	mc := cfg.Mesh
-	if mc.Width == 0 || mc.Height == 0 {
-		mc.Width = 8
-		if cfg.Nodes < 8 {
-			mc.Width = cfg.Nodes
-		}
-		mc.Height = (cfg.Nodes + mc.Width - 1) / mc.Width
-	}
-	net, err := mesh.New(mc)
-	if err != nil {
+	m := &Machine{cfg: cfg}
+	if err := m.Init("numa", cfg.Nodes, cfg.LineBytes, cfg.Mesh, m.access, m.auditAccess); err != nil {
 		return nil, err
-	}
-	m := &Machine{
-		cfg:   cfg,
-		net:   net,
-		trace: obs.Nop(),
-		spans: obs.NopSpans(),
-		prof:  obs.NopProfile(),
 	}
 	m.caches = make([]*proto.CacheSet, cfg.Nodes)
 	m.onchip = make([]*cache.SetAssoc, cfg.Nodes)
@@ -145,83 +121,11 @@ func New(cfg Config) (*Machine, error) {
 	for i := range m.allNodes {
 		m.allNodes[i] = i
 	}
+	// The home engine's occupancy is profiled; local memory banks are not
+	// (they mostly serve the local CPU, not protocol duty).
+	m.Resources(m.hproc, true, obs.ResProc, 0)
+	m.Resources(m.bank, false, 0, 0)
 	return m, nil
-}
-
-// LineBytes returns the coherence unit size.
-func (m *Machine) LineBytes() uint64 { return m.cfg.LineBytes }
-
-// Stats returns the machine's counters.
-func (m *Machine) Stats() *stats.Machine { return &m.st }
-
-// Mesh returns the interconnect.
-func (m *Machine) Mesh() *mesh.Mesh { return m.net }
-
-// SetFloor bounds every resource calendar, the mesh's included, by the
-// scheduler's low watermark f (see sim.Resource).
-func (m *Machine) SetFloor(f *sim.Time) {
-	sim.SetFloors(f, m.hproc, m.bank)
-	m.net.SetFloor(f)
-}
-
-// SetTrace routes protocol trace events to t; nil disables.
-func (m *Machine) SetTrace(t *obs.Trace) {
-	if t == nil {
-		t = obs.Nop()
-	}
-	m.trace = t
-	m.net.SetTrace(t)
-}
-
-// SetSpans routes transaction-span phase marks to s (nil disables), on the
-// machine and its mesh.
-func (m *Machine) SetSpans(s *obs.Spans) {
-	if s == nil {
-		s = obs.NopSpans()
-	}
-	m.spans = s
-	m.net.SetSpans(s)
-}
-
-// SetProfile routes handler-class cycle attribution to p (nil disables), on
-// the machine and its mesh. The home engine's occupancy is covered; local
-// memory banks are not (they mostly serve the local CPU, not protocol duty).
-func (m *Machine) SetProfile(p *obs.Profile) {
-	if p == nil {
-		p = obs.NopProfile()
-	}
-	p.EnsureNodes(m.cfg.Nodes)
-	m.prof = p
-	m.net.SetProfile(p)
-}
-
-// FinishProfile folds each home engine's resource accounting into the
-// attached profile. Cold path, called once after a run.
-func (m *Machine) FinishProfile() {
-	if !m.prof.On() {
-		return
-	}
-	for h := range m.hproc {
-		b, a, w := m.hproc[h].Utilization()
-		m.prof.SetResource(h, obs.ResProc, b, a, w, m.hproc[h].FreeAt())
-	}
-	m.net.FoldProfile(m.prof)
-}
-
-// SetAudit enables the per-transaction coherence audit of the accessed
-// line's directory entry. Read-only: results stay bit-identical.
-func (m *Machine) SetAudit(on bool) { m.audit = on }
-
-// AuditReport returns the violation count and bounded diagnostics.
-func (m *Machine) AuditReport() (uint64, []string) { return m.auditViol, m.auditSample }
-
-const maxAuditSamples = 8
-
-func (m *Machine) auditFail(format string, args ...any) {
-	m.auditViol++
-	if len(m.auditSample) < maxAuditSamples {
-		m.auditSample = append(m.auditSample, fmt.Sprintf(format, args...))
-	}
 }
 
 // auditAccess checks the accessed line's home directory entry against the
@@ -230,38 +134,37 @@ func (m *Machine) auditFail(format string, args ...any) {
 // authoritative while the directory still records an owner (the degenerate
 // case remoteRead folds into clean-at-home).
 func (m *Machine) auditAccess(addr uint64) {
-	line := m.alignLine(addr)
+	line := m.AlignLine(addr)
 	e, ok := m.dir.Get(line)
 	if !ok {
-		m.auditFail("line %#x: no directory entry after access", line)
+		m.AuditFail("line %#x: no directory entry after access", line)
 		return
 	}
 	switch e.state {
 	case dirDirty:
 		if e.owner < 0 || int(e.owner) >= m.cfg.Nodes {
-			m.auditFail("dirty line %#x has invalid owner %d", line, e.owner)
+			m.AuditFail("dirty line %#x has invalid owner %d", line, e.owner)
 		}
 		if !e.sharers.Empty() {
-			m.auditFail("dirty line %#x has sharers recorded", line)
+			m.AuditFail("dirty line %#x has sharers recorded", line)
 		}
 	case dirShared:
 		if e.owner != -1 {
-			m.auditFail("shared line %#x records owner %d", line, e.owner)
+			m.AuditFail("shared line %#x records owner %d", line, e.owner)
 		}
 		if e.sharers.Empty() {
-			m.auditFail("shared line %#x has no sharers", line)
+			m.AuditFail("shared line %#x has no sharers", line)
 		}
 	case dirHome:
 		if e.owner != -1 || !e.sharers.Empty() {
-			m.auditFail("idle line %#x retains owner %d or sharers", line, e.owner)
+			m.AuditFail("idle line %#x retains owner %d or sharers", line, e.owner)
 		}
 	default:
-		m.auditFail("line %#x in unknown directory state %d", line, e.state)
+		m.AuditFail("line %#x in unknown directory state %d", line, e.state)
 	}
 }
 
-func (m *Machine) alignLine(addr uint64) uint64 { return addr &^ (m.cfg.LineBytes - 1) }
-func (m *Machine) pageOf(addr uint64) uint64    { return addr &^ (m.cfg.PageBytes - 1) }
+func (m *Machine) pageOf(addr uint64) uint64 { return addr &^ (m.cfg.PageBytes - 1) }
 
 func (m *Machine) homeFor(p int, addr uint64) int {
 	page := m.pageOf(addr)
@@ -269,13 +172,13 @@ func (m *Machine) homeFor(p int, addr uint64) int {
 	if !ok {
 		h = p
 		m.homes.Put(page, h)
-		m.st.FirstTouches++
+		m.St.FirstTouches++
 	}
 	return h
 }
 
 func (m *Machine) entry(addr uint64) *dirEntry {
-	line := m.alignLine(addr)
+	line := m.AlignLine(addr)
 	e, ok := m.dir.Get(line)
 	if !ok {
 		e = m.dirPool.Get()
@@ -295,33 +198,8 @@ func (m *Machine) memLat(n int, line uint64) sim.Time {
 	return m.cfg.Timing.MemOffChip
 }
 
-// Access services a load or store by node p at time now.
-func (m *Machine) Access(now sim.Time, p int, addr uint64, write bool) (sim.Time, proto.LatClass) {
-	if m.spans.On() {
-		m.spans.Begin(now, int32(p), m.alignLine(addr), write)
-	}
-	done, class := m.access(now, p, addr, write)
-	if m.spans.On() {
-		m.spans.End(done, class)
-	}
-	if m.audit {
-		m.auditAccess(addr)
-	}
-	if write {
-		m.st.Write(class, done-now)
-	} else {
-		m.st.Read(class, done-now)
-	}
-	if m.trace.On() {
-		k := obs.EvRead
-		if write {
-			k = obs.EvWrite
-		}
-		m.trace.Emit(k, now, done-now, int32(p), m.alignLine(addr), uint64(class))
-	}
-	return done, class
-}
-
+// access services a load or store by node p at time now (Base.Access wraps
+// it with the instrumentation).
 func (m *Machine) access(now sim.Time, p int, addr uint64, write bool) (sim.Time, proto.LatClass) {
 	if hit, class, _ := m.caches[p].Lookup(addr, write); hit {
 		lat := m.cfg.Timing.L1Lat
@@ -330,7 +208,7 @@ func (m *Machine) access(now sim.Time, p int, addr uint64, write bool) (sim.Time
 		}
 		return now + lat, class
 	}
-	line := m.alignLine(addr)
+	line := m.AlignLine(addr)
 	home := m.homeFor(p, addr)
 	e := m.entry(line)
 	upgrade := m.caches[p].Holds(addr) // readable copy present; ownership only
@@ -348,22 +226,22 @@ func (m *Machine) access(now sim.Time, p int, addr uint64, write bool) (sim.Time
 // directory lookup is overlapped with the memory access and adds no latency
 // unless remote copies must be acted on.
 func (m *Machine) localAccess(now sim.Time, p int, addr, line uint64, e *dirEntry, write, upgrade bool) (sim.Time, proto.LatClass) {
-	ctrl := m.net.ControlBytes()
-	data := m.net.DataBytes(m.cfg.LineBytes)
+	ctrl := m.Net.ControlBytes()
+	data := m.Net.DataBytes(m.cfg.LineBytes)
 
 	if !write {
 		if e.state == dirDirty && int(e.owner) != p {
 			// Fetch from the remote owner: two node hops (p -> owner -> p).
 			q := int(e.owner)
-			rq := m.net.Send(now, p, q, ctrl)
+			rq := m.Net.Send(now, p, q, ctrl)
 			qs := m.bank[q].Acquire(rq, m.cfg.Timing.MemBankOcc)
-			if m.spans.On() {
-				m.spans.Mark(obs.PhaseNetRequest, rq)
-				m.spans.Mark(obs.PhaseOwnerFetch, qs+m.cfg.Timing.L2Lat)
+			if m.Spans.On() {
+				m.Spans.Mark(obs.PhaseNetRequest, rq)
+				m.Spans.Mark(obs.PhaseOwnerFetch, qs+m.cfg.Timing.L2Lat)
 			}
-			done := m.net.Send(qs+m.cfg.Timing.L2Lat, q, p, data)
-			if m.spans.On() {
-				m.spans.Mark(obs.PhaseNetReply, done)
+			done := m.Net.Send(qs+m.cfg.Timing.L2Lat, q, p, data)
+			if m.Spans.On() {
+				m.Spans.Mark(obs.PhaseNetReply, done)
 			}
 			m.caches[q].DowngradeMemLine(line)
 			m.bank[p].Acquire(done, m.cfg.Timing.MemBankOcc) // home memory update
@@ -391,20 +269,20 @@ func (m *Machine) localAccess(now sim.Time, p int, addr, line uint64, e *dirEntr
 	case e.state == dirDirty && int(e.owner) != p:
 		// Transfer ownership from the remote owner (2 hops).
 		q := int(e.owner)
-		rq := m.net.Send(now, p, q, ctrl)
+		rq := m.Net.Send(now, p, q, ctrl)
 		qs := m.bank[q].Acquire(rq, m.cfg.Timing.MemBankOcc)
-		if m.spans.On() {
-			m.spans.Mark(obs.PhaseNetRequest, rq)
-			m.spans.Mark(obs.PhaseOwnerFetch, qs+m.cfg.Timing.L2Lat)
+		if m.Spans.On() {
+			m.Spans.Mark(obs.PhaseNetRequest, rq)
+			m.Spans.Mark(obs.PhaseOwnerFetch, qs+m.cfg.Timing.L2Lat)
 		}
-		done := m.net.Send(qs+m.cfg.Timing.L2Lat, q, p, data)
-		if m.spans.On() {
-			m.spans.Mark(obs.PhaseNetReply, done)
+		done := m.Net.Send(qs+m.cfg.Timing.L2Lat, q, p, data)
+		if m.Spans.On() {
+			m.Spans.Mark(obs.PhaseNetReply, done)
 		}
 		m.caches[q].InvalidateMemLine(line)
-		m.st.Invalidations++
-		if m.trace.On() {
-			m.trace.Emit(obs.EvInval, rq, 0, int32(q), line, 0)
+		m.St.Invalidations++
+		if m.Trace.On() {
+			m.Trace.Emit(obs.EvInval, rq, 0, int32(q), line, 0)
 		}
 		e.owner = int32(p)
 		e.sharers.Clear()
@@ -413,19 +291,19 @@ func (m *Machine) localAccess(now sim.Time, p int, addr, line uint64, e *dirEntr
 	default:
 		bs := m.bank[p].Acquire(now, m.cfg.Timing.MemBankOcc)
 		done := bs + m.memLat(p, line)
-		if m.spans.On() {
+		if m.Spans.On() {
 			// Memory access is issue-side work; the ack wait below retires.
-			m.spans.Mark(obs.PhaseIssue, done)
+			m.Spans.Mark(obs.PhaseIssue, done)
 		}
 		// Invalidate remote sharers; their acks bound completion.
 		for _, q := range e.sharers.Targets(nil, m.allNodes, p) {
-			iv := m.net.Send(now, p, q, ctrl)
+			iv := m.Net.Send(now, p, q, ctrl)
 			m.caches[q].InvalidateMemLine(line)
-			m.st.Invalidations++
-			if m.trace.On() {
-				m.trace.Emit(obs.EvInval, iv, 0, int32(q), line, 0)
+			m.St.Invalidations++
+			if m.Trace.On() {
+				m.Trace.Emit(obs.EvInval, iv, 0, int32(q), line, 0)
 			}
-			if ack := m.net.Send(iv, q, p, ctrl); ack > done {
+			if ack := m.Net.Send(iv, q, p, ctrl); ack > done {
 				done = ack
 			}
 		}
@@ -439,14 +317,14 @@ func (m *Machine) localAccess(now sim.Time, p int, addr, line uint64, e *dirEntr
 
 // remoteRead handles a read whose home is another node.
 func (m *Machine) remoteRead(now sim.Time, p, h int, addr, line uint64, e *dirEntry) (sim.Time, proto.LatClass) {
-	ctrl := m.net.ControlBytes()
-	data := m.net.DataBytes(m.cfg.LineBytes)
-	arrive := m.net.Send(now, p, h, ctrl)
-	if m.spans.On() {
-		m.spans.Mark(obs.PhaseNetRequest, arrive)
+	ctrl := m.Net.ControlBytes()
+	data := m.Net.DataBytes(m.cfg.LineBytes)
+	arrive := m.Net.Send(now, p, h, ctrl)
+	if m.Spans.On() {
+		m.Spans.Mark(obs.PhaseNetRequest, arrive)
 	}
 	hs := m.hproc[h].Acquire(arrive, m.cfg.Costs.ReadOcc)
-	m.prof.Node(h, obs.ResProc, obs.HCDirLookup, m.cfg.Costs.ReadOcc)
+	m.Prof.Node(h, obs.ResProc, obs.HCDirLookup, m.cfg.Costs.ReadOcc)
 
 	var done sim.Time
 	var class proto.LatClass
@@ -456,10 +334,10 @@ func (m *Machine) remoteRead(now sim.Time, p, h int, addr, line uint64, e *dirEn
 		// memory is updated in place.
 		m.caches[h].DowngradeMemLine(line)
 		m.bank[h].Acquire(hs, m.cfg.Timing.MemBankOcc)
-		if m.spans.On() {
-			m.spans.Mark(obs.PhaseDirOcc, hs+m.cfg.Costs.ReadLat)
+		if m.Spans.On() {
+			m.Spans.Mark(obs.PhaseDirOcc, hs+m.cfg.Costs.ReadLat)
 		}
-		done = m.net.Send(hs+m.cfg.Costs.ReadLat, h, p, data)
+		done = m.Net.Send(hs+m.cfg.Costs.ReadLat, h, p, data)
 		e.state = dirShared
 		e.sharers.Add(h)
 		class = proto.Lat2Hop
@@ -467,19 +345,19 @@ func (m *Machine) remoteRead(now sim.Time, p, h int, addr, line uint64, e *dirEn
 		// 3-hop: forward to owner; owner supplies requester and writes the
 		// line back to the home (sharing write-back).
 		q := int(e.owner)
-		if m.spans.On() {
-			m.spans.Mark(obs.PhaseDirOcc, hs+m.cfg.Costs.ReadLat)
+		if m.Spans.On() {
+			m.Spans.Mark(obs.PhaseDirOcc, hs+m.cfg.Costs.ReadLat)
 		}
-		fwd := m.net.Send(hs+m.cfg.Costs.ReadLat, h, q, ctrl)
+		fwd := m.Net.Send(hs+m.cfg.Costs.ReadLat, h, q, ctrl)
 		qs := m.bank[q].Acquire(fwd, m.cfg.Timing.MemBankOcc)
 		sendT := qs + m.cfg.Timing.L2Lat
-		if m.spans.On() {
-			m.spans.Mark(obs.PhaseOwnerFetch, sendT)
+		if m.Spans.On() {
+			m.Spans.Mark(obs.PhaseOwnerFetch, sendT)
 		}
-		done = m.net.Send(sendT, q, p, data)
-		wb := m.net.Send(sendT, q, h, data)
+		done = m.Net.Send(sendT, q, p, data)
+		wb := m.Net.Send(sendT, q, h, data)
 		ws := m.hproc[h].Acquire(wb, m.cfg.Costs.AckOcc)
-		m.prof.Node(h, obs.ResProc, obs.HCWriteBack, m.cfg.Costs.AckOcc)
+		m.Prof.Node(h, obs.ResProc, obs.HCWriteBack, m.cfg.Costs.AckOcc)
 		m.bank[h].Acquire(ws, m.cfg.Timing.MemBankOcc)
 		m.caches[q].DowngradeMemLine(line)
 		e.state = dirShared
@@ -491,10 +369,10 @@ func (m *Machine) remoteRead(now sim.Time, p, h int, addr, line uint64, e *dirEn
 		// again). Directory access is overlapped with the memory access.
 		m.bank[h].Acquire(hs, m.cfg.Timing.MemBankOcc)
 		lat := m.memLat(h, line)
-		if m.spans.On() {
-			m.spans.Mark(obs.PhaseDirOcc, hs+maxTime(m.cfg.Costs.ReadLat, lat))
+		if m.Spans.On() {
+			m.Spans.Mark(obs.PhaseDirOcc, hs+maxTime(m.cfg.Costs.ReadLat, lat))
 		}
-		done = m.net.Send(hs+maxTime(m.cfg.Costs.ReadLat, lat), h, p, data)
+		done = m.Net.Send(hs+maxTime(m.cfg.Costs.ReadLat, lat), h, p, data)
 		if e.state == dirDirty {
 			e.state = dirShared
 		}
@@ -503,8 +381,8 @@ func (m *Machine) remoteRead(now sim.Time, p, h int, addr, line uint64, e *dirEn
 		}
 		class = proto.Lat2Hop
 	}
-	if m.spans.On() {
-		m.spans.Mark(obs.PhaseNetReply, done)
+	if m.Spans.On() {
+		m.Spans.Mark(obs.PhaseNetReply, done)
 	}
 	e.sharers.Add(p)
 	e.owner = -1
@@ -514,21 +392,21 @@ func (m *Machine) remoteRead(now sim.Time, p, h int, addr, line uint64, e *dirEn
 
 // remoteWrite handles a write whose home is another node.
 func (m *Machine) remoteWrite(now sim.Time, p, h int, addr, line uint64, e *dirEntry, upgrade bool) (sim.Time, proto.LatClass) {
-	ctrl := m.net.ControlBytes()
-	data := m.net.DataBytes(m.cfg.LineBytes)
-	arrive := m.net.Send(now, p, h, ctrl)
-	if m.spans.On() {
-		m.spans.Mark(obs.PhaseNetRequest, arrive)
+	ctrl := m.Net.ControlBytes()
+	data := m.Net.DataBytes(m.cfg.LineBytes)
+	arrive := m.Net.Send(now, p, h, ctrl)
+	if m.Spans.On() {
+		m.Spans.Mark(obs.PhaseNetRequest, arrive)
 	}
 
 	targets := e.sharers.Targets(nil, m.allNodes, p)
 	occ := m.cfg.Costs.ReadExOcc + m.cfg.Costs.InvalPerNode*sim.Time(len(targets))
 	hs := m.hproc[h].Acquire(arrive, occ)
-	m.prof.Node(h, obs.ResProc, obs.HCDirLookup, m.cfg.Costs.ReadExOcc)
-	m.prof.Node(h, obs.ResProc, obs.HCInval, occ-m.cfg.Costs.ReadExOcc)
+	m.Prof.Node(h, obs.ResProc, obs.HCDirLookup, m.cfg.Costs.ReadExOcc)
+	m.Prof.Node(h, obs.ResProc, obs.HCInval, occ-m.cfg.Costs.ReadExOcc)
 	replyT := hs + m.cfg.Costs.ReadExLat
-	if m.spans.On() {
-		m.spans.Mark(obs.PhaseDirOcc, replyT)
+	if m.Spans.On() {
+		m.Spans.Mark(obs.PhaseDirOcc, replyT)
 	}
 
 	var done sim.Time
@@ -537,51 +415,51 @@ func (m *Machine) remoteWrite(now sim.Time, p, h int, addr, line uint64, e *dirE
 	case e.state == dirDirty && int(e.owner) != p && int(e.owner) != h:
 		// 3-hop ownership transfer.
 		q := int(e.owner)
-		fwd := m.net.Send(replyT, h, q, ctrl)
+		fwd := m.Net.Send(replyT, h, q, ctrl)
 		qs := m.bank[q].Acquire(fwd, m.cfg.Timing.MemBankOcc)
-		if m.spans.On() {
-			m.spans.Mark(obs.PhaseOwnerFetch, qs+m.cfg.Timing.L2Lat)
+		if m.Spans.On() {
+			m.Spans.Mark(obs.PhaseOwnerFetch, qs+m.cfg.Timing.L2Lat)
 		}
-		done = m.net.Send(qs+m.cfg.Timing.L2Lat, q, p, data)
+		done = m.Net.Send(qs+m.cfg.Timing.L2Lat, q, p, data)
 		m.caches[q].InvalidateMemLine(line)
-		m.st.Invalidations++
-		if m.trace.On() {
-			m.trace.Emit(obs.EvInval, fwd, 0, int32(q), line, 0)
+		m.St.Invalidations++
+		if m.Trace.On() {
+			m.Trace.Emit(obs.EvInval, fwd, 0, int32(q), line, 0)
 		}
 		class = proto.Lat3Hop
 	case e.state == dirDirty && int(e.owner) == h:
 		m.caches[h].InvalidateMemLine(line)
-		m.st.Invalidations++
-		if m.trace.On() {
-			m.trace.Emit(obs.EvInval, hs, 0, int32(h), line, 0)
+		m.St.Invalidations++
+		if m.Trace.On() {
+			m.Trace.Emit(obs.EvInval, hs, 0, int32(h), line, 0)
 		}
 		m.bank[h].Acquire(hs, m.cfg.Timing.MemBankOcc)
-		done = m.net.Send(replyT, h, p, data)
+		done = m.Net.Send(replyT, h, p, data)
 		class = proto.Lat2Hop
 	case upgrade:
-		done = m.net.Send(replyT, h, p, ctrl)
-		m.st.Upgrades++
-		if m.trace.On() {
-			m.trace.Emit(obs.EvUpgrade, replyT, 0, int32(p), line, 0)
+		done = m.Net.Send(replyT, h, p, ctrl)
+		m.St.Upgrades++
+		if m.Trace.On() {
+			m.Trace.Emit(obs.EvUpgrade, replyT, 0, int32(p), line, 0)
 		}
 		class = proto.Lat2Hop
 	default:
 		m.bank[h].Acquire(hs, m.cfg.Timing.MemBankOcc)
-		done = m.net.Send(replyT, h, p, data)
+		done = m.Net.Send(replyT, h, p, data)
 		class = proto.Lat2Hop
 	}
-	if m.spans.On() {
+	if m.Spans.On() {
 		// The data/grant reply ends here; ack collection below retires.
-		m.spans.Mark(obs.PhaseNetReply, done)
+		m.Spans.Mark(obs.PhaseNetReply, done)
 	}
 	for _, q := range targets {
-		iv := m.net.Send(replyT, h, q, ctrl)
+		iv := m.Net.Send(replyT, h, q, ctrl)
 		m.caches[q].InvalidateMemLine(line)
-		m.st.Invalidations++
-		if m.trace.On() {
-			m.trace.Emit(obs.EvInval, iv, 0, int32(q), line, 0)
+		m.St.Invalidations++
+		if m.Trace.On() {
+			m.Trace.Emit(obs.EvInval, iv, 0, int32(q), line, 0)
 		}
-		if ack := m.net.Send(iv, q, p, ctrl); ack > done {
+		if ack := m.Net.Send(iv, q, p, ctrl); ack > done {
 			done = ack
 		}
 	}
@@ -610,7 +488,7 @@ func (m *Machine) handleVictims(when sim.Time, p int, victims []cache.Victim) {
 		if st, ok := m.caches[p].L2.Lookup(sib); ok && st == cache.Dirty {
 			continue // other half still dirty here; defer
 		}
-		line := m.alignLine(v.Addr)
+		line := m.AlignLine(v.Addr)
 		e := m.entry(line)
 		h := m.homeFor(p, v.Addr)
 		if e.state == dirDirty && int(e.owner) == p {
@@ -618,9 +496,9 @@ func (m *Machine) handleVictims(when sim.Time, p int, victims []cache.Victim) {
 			e.owner = -1
 			e.sharers.Clear()
 		}
-		m.st.WriteBacks++
-		if m.trace.On() {
-			m.trace.Emit(obs.EvWriteBack, when, 0, int32(p), line, 0)
+		m.St.WriteBacks++
+		if m.Trace.On() {
+			m.Trace.Emit(obs.EvWriteBack, when, 0, int32(p), line, 0)
 		}
 		if h == p {
 			m.bank[p].Acquire(when, m.cfg.Timing.MemBankOcc)
@@ -628,9 +506,9 @@ func (m *Machine) handleVictims(when sim.Time, p int, victims []cache.Victim) {
 		}
 		// Background write-back message; it contends for links and the
 		// home's protocol engine but nobody waits on it.
-		wb := m.net.Send(when, p, h, m.net.DataBytes(m.cfg.LineBytes))
+		wb := m.Net.Send(when, p, h, m.Net.DataBytes(m.cfg.LineBytes))
 		ws := m.hproc[h].Acquire(wb, m.cfg.Costs.WBOcc)
-		m.prof.Node(h, obs.ResProc, obs.HCWriteBack, m.cfg.Costs.WBOcc)
+		m.Prof.Node(h, obs.ResProc, obs.HCWriteBack, m.cfg.Costs.WBOcc)
 		m.bank[h].Acquire(ws, m.cfg.Timing.MemBankOcc)
 	}
 }

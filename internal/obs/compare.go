@@ -450,8 +450,9 @@ func (r *CompareReport) WriteText(w io.Writer) {
 
 // --- BENCH_*.json trajectory ---
 
-// BenchRun mirrors one cmd/benchjson measurement row. Shards and GoMaxProcs
-// are optional provenance (absent in snapshots before 2026-08-08).
+// BenchRun is one cmd/benchjson measurement row. GoMaxProcs is optional
+// provenance (absent in snapshots before 2026-08-08); Shards is only present
+// in snapshots written while benchjson recorded a shard count.
 type BenchRun struct {
 	Arch         string  `json:"arch"`
 	App          string  `json:"app"`
@@ -462,9 +463,10 @@ type BenchRun struct {
 	CyclesPerSec float64 `json:"cycles_per_sec"`
 }
 
-// BenchDoc mirrors one committed BENCH_<date>.json snapshot. Header fields
-// added over time (gomaxprocs, shards, repeat) are optional so the earliest
-// snapshots still parse.
+// BenchDoc is one BENCH_<date>.json snapshot, the document cmd/benchjson
+// encodes. Header fields added over time (gomaxprocs, shards, repeat) are
+// optional so the earliest snapshots still parse; shards is no longer
+// written.
 type BenchDoc struct {
 	Date       string     `json:"date"`
 	Commit     string     `json:"commit,omitempty"`

@@ -44,42 +44,46 @@ func TestSpanSumInvariant(t *testing.T) {
 // audit paths: both are record-only, so a run with them on must be
 // bit-identical to the same run with them off.
 func TestSpansDoNotChangeResults(t *testing.T) {
-	plain, err := Run(fig6AGGConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := fig6AGGConfig()
-	cfg.Spans = NewSpans(0)
-	cfg.Audit = true
-	observed, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.Breakdown != observed.Breakdown {
-		t.Fatalf("breakdown differs with spans on: %+v vs %+v", plain.Breakdown, observed.Breakdown)
-	}
-	if !reflect.DeepEqual(plain.Machine, observed.Machine) {
-		t.Fatal("stats.Machine differs with spans on")
-	}
-	if !reflect.DeepEqual(plain.Mesh, observed.Mesh) {
-		t.Fatal("mesh stats differ with spans on")
-	}
-	if observed.AuditViolations != 0 {
-		t.Fatalf("audit reported %d violations: %v", observed.AuditViolations, observed.AuditSamples)
-	}
+	for _, arch := range allArches {
+		t.Run(string(arch), func(t *testing.T) {
+			plain, err := Run(fig6Config(arch))
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := fig6Config(arch)
+			cfg.Spans = NewSpans(0)
+			cfg.Audit = true
+			observed, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if plain.Breakdown != observed.Breakdown {
+				t.Fatalf("breakdown differs with spans on: %+v vs %+v", plain.Breakdown, observed.Breakdown)
+			}
+			if !reflect.DeepEqual(plain.Machine, observed.Machine) {
+				t.Fatal("stats.Machine differs with spans on")
+			}
+			if !reflect.DeepEqual(plain.Mesh, observed.Mesh) {
+				t.Fatal("mesh stats differ with spans on")
+			}
+			if observed.AuditViolations != 0 {
+				t.Fatalf("audit reported %d violations: %v", observed.AuditViolations, observed.AuditSamples)
+			}
 
-	// And spans themselves are deterministic: run again, same aggregates.
-	cfg2 := fig6AGGConfig()
-	cfg2.Spans = NewSpans(0)
-	if _, err := Run(cfg2); err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Spans.Retired() != cfg2.Spans.Retired() {
-		t.Fatalf("span counts differ between identical runs: %d vs %d",
-			cfg.Spans.Retired(), cfg2.Spans.Retired())
-	}
-	if !reflect.DeepEqual(cfg.Spans.Kept(), cfg2.Spans.Kept()) {
-		t.Fatal("kept spans differ between identical runs")
+			// And spans themselves are deterministic: run again, same aggregates.
+			cfg2 := fig6Config(arch)
+			cfg2.Spans = NewSpans(0)
+			if _, err := Run(cfg2); err != nil {
+				t.Fatal(err)
+			}
+			if cfg.Spans.Retired() != cfg2.Spans.Retired() {
+				t.Fatalf("span counts differ between identical runs: %d vs %d",
+					cfg.Spans.Retired(), cfg2.Spans.Retired())
+			}
+			if !reflect.DeepEqual(cfg.Spans.Kept(), cfg2.Spans.Kept()) {
+				t.Fatal("kept spans differ between identical runs")
+			}
+		})
 	}
 }
 

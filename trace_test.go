@@ -9,10 +9,15 @@ import (
 	"pimdsm/internal/obs"
 )
 
-// fig6AGGConfig is Figure 6's 1/1AGG75 configuration at test scale.
-func fig6AGGConfig() Config {
+// allArches are the three machines; the record-only determinism tests run
+// on each, since all three share one instrumented Access wrapper.
+var allArches = []Arch{AGG, NUMA, COMA}
+
+// fig6Config is Figure 6's 75%-pressure configuration of arch at test scale
+// (1/1AGG75 for AGG).
+func fig6Config(arch Arch) Config {
 	return Config{
-		Arch: AGG, App: AppSpec{Name: "ocean", Scale: 0.05},
+		Arch: arch, App: AppSpec{Name: "ocean", Scale: 0.05},
 		Threads: 16, Pressure: 0.75, DRatio: 1,
 	}
 }
@@ -21,40 +26,44 @@ func fig6AGGConfig() Config {
 // tracing and metrics enabled must produce a bit-identical stats.Machine and
 // breakdown to the same run with them off.
 func TestTracingDoesNotChangeResults(t *testing.T) {
-	plain, err := Run(fig6AGGConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	for _, arch := range allArches {
+		t.Run(string(arch), func(t *testing.T) {
+			plain, err := Run(fig6Config(arch))
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	cfg := fig6AGGConfig()
-	cfg.Trace = NewTrace(1 << 18)
-	cfg.Metrics = NewMetrics()
-	traced, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+			cfg := fig6Config(arch)
+			cfg.Trace = NewTrace(1 << 18)
+			cfg.Metrics = NewMetrics()
+			traced, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	if !reflect.DeepEqual(plain.Machine, traced.Machine) {
-		t.Fatal("stats.Machine differs with tracing on")
-	}
-	if plain.Breakdown != traced.Breakdown {
-		t.Fatalf("breakdown differs: %+v vs %+v", plain.Breakdown, traced.Breakdown)
-	}
-	if !reflect.DeepEqual(plain.Mesh, traced.Mesh) {
-		t.Fatal("mesh stats differ with tracing on")
-	}
+			if !reflect.DeepEqual(plain.Machine, traced.Machine) {
+				t.Fatal("stats.Machine differs with tracing on")
+			}
+			if plain.Breakdown != traced.Breakdown {
+				t.Fatalf("breakdown differs: %+v vs %+v", plain.Breakdown, traced.Breakdown)
+			}
+			if !reflect.DeepEqual(plain.Mesh, traced.Mesh) {
+				t.Fatal("mesh stats differ with tracing on")
+			}
 
-	// And tracing itself is deterministic: run again, same event stream.
-	cfg2 := fig6AGGConfig()
-	cfg2.Trace = NewTrace(1 << 18)
-	if _, err := Run(cfg2); err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Trace.Total() != cfg2.Trace.Total() {
-		t.Fatalf("trace totals differ: %d vs %d", cfg.Trace.Total(), cfg2.Trace.Total())
-	}
-	if !reflect.DeepEqual(cfg.Trace.Events(), cfg2.Trace.Events()) {
-		t.Fatal("trace event streams differ between identical runs")
+			// And tracing itself is deterministic: run again, same event stream.
+			cfg2 := fig6Config(arch)
+			cfg2.Trace = NewTrace(1 << 18)
+			if _, err := Run(cfg2); err != nil {
+				t.Fatal(err)
+			}
+			if cfg.Trace.Total() != cfg2.Trace.Total() {
+				t.Fatalf("trace totals differ: %d vs %d", cfg.Trace.Total(), cfg2.Trace.Total())
+			}
+			if !reflect.DeepEqual(cfg.Trace.Events(), cfg2.Trace.Events()) {
+				t.Fatal("trace event streams differ between identical runs")
+			}
+		})
 	}
 }
 
@@ -108,7 +117,7 @@ func TestTraceCountsStableAcrossWorkers(t *testing.T) {
 // write-backs and pageouts, exportable as loadable Chrome JSON in sim-time
 // order.
 func TestRunTraceContents(t *testing.T) {
-	cfg := fig6AGGConfig()
+	cfg := fig6Config(AGG)
 	cfg.Trace = NewTrace(1 << 20)
 	if _, err := Run(cfg); err != nil {
 		t.Fatal(err)
@@ -147,7 +156,7 @@ func TestRunTraceContents(t *testing.T) {
 // TestMetricsMatchMachineCounters verifies the registry is an accounting of
 // the run, not a parallel implementation that can drift.
 func TestMetricsMatchMachineCounters(t *testing.T) {
-	cfg := fig6AGGConfig()
+	cfg := fig6Config(AGG)
 	cfg.Metrics = NewMetrics()
 	res, err := Run(cfg)
 	if err != nil {

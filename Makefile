@@ -3,13 +3,17 @@
 
 GO ?= go
 
-.PHONY: build test race race-hot vet bench bench-smoke ci figures-output audit check-stats bench-json serve-smoke soak-smoke speedup-smoke telemetry-smoke tenant-smoke cluster-smoke bench-diff
+.PHONY: build test race race-hot vet fmt-check bench bench-smoke ci figures-output audit check-stats bench-json serve-smoke soak-smoke speedup-smoke telemetry-smoke tenant-smoke cluster-smoke bench-diff
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# fmt-check fails when gofmt would change any Go file, listing the files.
+fmt-check:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "fmt-check: not gofmt-clean:"; echo "$$out"; exit 1; fi
 
 test: vet
 	$(GO) test ./...
@@ -18,10 +22,11 @@ race:
 	$(GO) test -race ./...
 
 # race-hot covers the packages with real concurrency (the sweep pool sits in
-# the root package; sim and hashmap are what the workers hammer; mesh hosts
-# the partitioned event engine's workload).
+# the root package; sim and hashmap are what the workers hammer; serve's
+# workers, resolver fan-out, cluster glue and tenant ledger share one server
+# mutex).
 race-hot:
-	$(GO) test -race ./internal/sim ./internal/hashmap .
+	$(GO) test -race ./internal/sim ./internal/hashmap ./internal/serve .
 
 # speedup-smoke is the partitioned-engine gate, run under the race detector:
 # a mid-size event-driven mesh at K=1 and K=4 must produce bit-identical

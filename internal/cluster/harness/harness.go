@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"pimdsm/internal/cluster"
+	"pimdsm/internal/obs/svclog"
 	"pimdsm/internal/serve"
 )
 
@@ -114,6 +115,7 @@ func (c *Cluster) startNode(i int, ln net.Listener) (*Node, error) {
 		QueueLimit: c.opt.QueueLimit,
 		Run:        c.opt.Run,
 		Log:        c.opt.Log,
+		Events:     svclog.NewEventLog(0),
 	})
 	if err != nil {
 		return nil, err

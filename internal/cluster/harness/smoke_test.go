@@ -12,6 +12,7 @@ import (
 
 	"pimdsm"
 	"pimdsm/internal/machine"
+	"pimdsm/internal/obs/svclog"
 	"pimdsm/internal/serve"
 )
 
@@ -41,7 +42,7 @@ func batchKeys(t *testing.T, batch []serve.ConfigSpec, seed uint64) []uint64 {
 }
 
 // submitWait pushes specs through the front door at addr and returns the
-// per-config result bytes.
+// per-config result bytes, after checking the job's resolution accounting.
 func submitWait(t *testing.T, addr, name string, specs []serve.ConfigSpec) []string {
 	t.Helper()
 	cl := serve.NewClient(addr)
@@ -58,6 +59,11 @@ func submitWait(t *testing.T, addr, name string, specs []serve.ConfigSpec) []str
 	if st.State != serve.JobDone {
 		t.Fatalf("%s: job %s finished %s (%s), want done", name, st.ID, st.State, st.Error)
 	}
+	events, err := cl.JobEvents(st.ID)
+	if err != nil {
+		t.Fatalf("%s: events: %v", name, err)
+	}
+	checkSettled(t, name, st, events)
 	_, raw, err := cl.Result(st.ID)
 	if err != nil {
 		t.Fatalf("%s: result: %v", name, err)
@@ -69,11 +75,24 @@ func submitWait(t *testing.T, addr, name string, specs []serve.ConfigSpec) []str
 	return out
 }
 
+// checkSettled asserts a finished job's lifecycle chain is complete and
+// every config settled exactly one way.
+func checkSettled(t *testing.T, name string, st serve.JobStatus, events []svclog.JobEvent) {
+	t.Helper()
+	if err := serve.ValidateEventChain(events, st.Total); err != nil {
+		t.Fatalf("%s: job %s event chain: %v", name, st.ID, err)
+	}
+	if got := st.CacheHits + st.Simulated + st.Joins + st.Forwarded; got != st.Total {
+		t.Fatalf("%s: job %s settled %d configs (hits %d, simulated %d, joins %d, forwarded %d), want %d",
+			name, st.ID, got, st.CacheHits, st.Simulated, st.Joins, st.Forwarded, st.Total)
+	}
+}
+
 // singleNode starts a plain cluster-less daemon — the byte-identity
 // reference every cluster answer must match.
 func singleNode(t *testing.T) string {
 	t.Helper()
-	srv, err := serve.New(serve.Options{})
+	srv, err := serve.New(serve.Options{Events: svclog.NewEventLog(0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,6 +254,68 @@ func TestClusterSmoke(t *testing.T) {
 	}
 }
 
+// TestClusterCrossOwnership submits one two-config job at both doors of a
+// 2-node cluster at once, each door owning one of the two keys. A door that
+// waited on its peer before simulating the key it owns would park inside the
+// other owner's /cluster/compute handler, which joins the flight that door's
+// own job holds: a cross-node wait cycle that only the peer timeout breaks.
+// Both jobs must finish promptly, with each key simulated exactly once.
+func TestClusterCrossOwnership(t *testing.T) {
+	c, err := Start("cross", Options{N: 2, Replicas: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.WaitAlive(2, 15*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	batch := smokeBatch(t)[:2]
+	doors := []*Node{c.Node(0), c.Node(1)}
+	owns := func(n *Node, key uint64) bool {
+		_, self := n.Peer.Owner(key)
+		return self
+	}
+
+	const rounds = 3
+	found := 0
+	for seed := uint64(1); found < rounds && seed < 1000; seed++ {
+		if !owns(doors[0], batch[0].Key(seed)) || !owns(doors[1], batch[1].Key(seed)) {
+			continue
+		}
+		found++
+		before := c.SimulatedRuns()
+		var jobs []*serve.Job
+		for i, n := range doors {
+			st, err := n.Srv.Submit(serve.JobSpec{
+				Name: fmt.Sprintf("cross-%d-door-%d", seed, i), Seed: seed, Configs: batch,
+			})
+			if err != nil {
+				t.Fatalf("seed %d door %d: submit: %v", seed, i, err)
+			}
+			j, _ := n.Srv.Job(st.ID)
+			jobs = append(jobs, j)
+		}
+		timeout := time.After(10 * time.Second)
+		for i, j := range jobs {
+			select {
+			case <-j.Done():
+			case <-timeout:
+				t.Fatalf("seed %d: door %d job stalled (%d engine runs so far)",
+					seed, i, c.SimulatedRuns()-before)
+			}
+			if st := doors[i].Srv.Status(j); st.State != serve.JobDone {
+				t.Fatalf("seed %d door %d: job finished %s (%s)", seed, i, st.State, st.Error)
+			}
+		}
+		if runs := c.SimulatedRuns() - before; runs != 2 {
+			t.Fatalf("seed %d: %d engine runs for 2 distinct keys", seed, runs)
+		}
+	}
+	if found < rounds {
+		t.Fatalf("only %d seeds split the two keys across the doors", found)
+	}
+}
+
 // TestClusterWorkStealing parks a deliberately slow single-worker node
 // behind a pile of queued jobs and checks its idle peers steal, execute and
 // report them back — every distinct key still simulated exactly once.
@@ -300,6 +381,8 @@ func TestClusterWorkStealing(t *testing.T) {
 		if _, raw, ok := victim.Srv.Results(j); !ok || len(raw) != 1 || len(raw[0]) == 0 {
 			t.Fatalf("a stolen or local job finished without a result (ok=%v)", ok)
 		}
+		st := victim.Srv.Status(j)
+		checkSettled(t, st.Name, st, victim.Srv.Events().Job(st.ID))
 	}
 
 	if got := c.SimulatedRuns(); got != uint64(total) {

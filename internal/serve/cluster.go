@@ -16,6 +16,14 @@ package serve
 //     queued job, executes it (through the same owner-routing), and posts the
 //     results back; the victim requeues the job if the thief goes silent.
 //
+// None of the three has a resolution path of its own. The front door (a
+// worker's runJob), the owner side of /cluster/compute (route=false) and
+// the thief (no job) all call server.go's resolve, whose fixed phase order —
+// classify, simulate owned misses, forward, wait on joins — keeps waits
+// across nodes acyclic; forward and recoverFromReplicas below are its
+// peer-facing halves. Every outcome lands in its job through settle, and
+// worker and stolen jobs end through the same finish.
+//
 // The peer endpoints sit outside tenant authentication; their admission check
 // is the shared cluster name carried in the X-Aggsimd-Cluster header (and,
 // for payload-bearing endpoints, the key-derivation check that also guards
@@ -59,17 +67,10 @@ const stealRequeueAfter = 60 * time.Second
 // stolen-job requeue sweeps).
 const clusterLoopEvery = 100 * time.Millisecond
 
-// clusterCounters backs the aggsimd_cluster_* metric families. All fields
-// are guarded by Server.mu.
-type clusterCounters struct {
-	forwardsSent, forwardsFailed, forwardsServed   uint64
-	lookupsServed, lookupsMissed                   uint64
-	replicasSent, replicasFailed, replicasReceived uint64
-	recoveries                                     uint64
-	stealsGiven, stealsTaken                       uint64
-	stealsCompleted, stealsFailed, stealsRequeued  uint64
-	redirects                                      uint64
-}
+// forwardFanout bounds the forwards one resolve keeps in flight. The peer
+// client keeps as many idle connections per peer, so a fan-out to one owner
+// reuses its connections instead of dialling and dropping one per burst.
+const forwardFanout = 4
 
 // stolenRecord tracks one job a peer is executing for us.
 type stolenRecord struct {
@@ -120,26 +121,11 @@ type ClusterStats struct {
 // node has its own mutex ordered strictly after s.mu (the node never calls
 // back into the server).
 func (s *Server) clusterStatsLocked() *ClusterStats {
-	return &ClusterStats{
-		Node:             s.cluster.Stats(),
-		Replicas:         s.cluster.Replicas(),
-		ForwardsSent:     s.cl.forwardsSent,
-		ForwardsFailed:   s.cl.forwardsFailed,
-		ForwardsServed:   s.cl.forwardsServed,
-		LookupsServed:    s.cl.lookupsServed,
-		LookupsMissed:    s.cl.lookupsMissed,
-		ReplicasSent:     s.cl.replicasSent,
-		ReplicasFailed:   s.cl.replicasFailed,
-		ReplicasReceived: s.cl.replicasReceived,
-		Recoveries:       s.cl.recoveries,
-		StealsGiven:      s.cl.stealsGiven,
-		StealsTaken:      s.cl.stealsTaken,
-		StealsCompleted:  s.cl.stealsCompleted,
-		StealsFailed:     s.cl.stealsFailed,
-		StealsRequeued:   s.cl.stealsRequeued,
-		StolenInFlight:   len(s.stolen),
-		Redirects:        s.cl.redirects,
-	}
+	cs := s.cl
+	cs.Node = s.cluster.Stats()
+	cs.Replicas = s.cluster.Replicas()
+	cs.StolenInFlight = len(s.stolen)
+	return &cs
 }
 
 // AttachCluster joins the server to a cluster: the node's heartbeat loop
@@ -156,7 +142,9 @@ func (s *Server) AttachCluster(node *cluster.Node) {
 	s.clusterStop = make(chan struct{})
 	// Forwarded computes may simulate inline at the owner; the peer client
 	// timeout must cover a full run, not just a cache probe.
-	s.clusterHTTP = &http.Client{Timeout: 2 * time.Minute}
+	tr := http.DefaultTransport.(*http.Transport).Clone()
+	tr.MaxIdleConnsPerHost = forwardFanout
+	s.clusterHTTP = &http.Client{Timeout: 2 * time.Minute, Transport: tr}
 	s.mu.Unlock()
 	s.opt.Log.Info("cluster_attached", "cluster", node.Name(), "self", node.Self(),
 		"replicas", node.Replicas())
@@ -172,7 +160,7 @@ func (s *Server) clusterNode() *cluster.Node {
 	return s.cluster
 }
 
-func (s *Server) countCluster(fn func(*clusterCounters)) {
+func (s *Server) countCluster(fn func(*ClusterStats)) {
 	s.mu.Lock()
 	fn(&s.cl)
 	s.mu.Unlock()
@@ -197,16 +185,7 @@ func (s *Server) stopCluster() {
 	s.mu.Lock()
 	for id, rec := range s.stolen {
 		delete(s.stolen, id)
-		j := rec.job
-		j.state = JobAborted
-		j.err = ErrDraining
-		j.finished = time.Now()
-		s.jobsAborted++
-		if s.opt.Tenants != nil && j.spec.Tenant != "" {
-			s.opt.Tenants.abortedRunning(j.spec.Tenant)
-		}
-		s.eventLocked(j, svclog.EvAborted, -1, 0, "shutdown while stolen by "+rec.thief)
-		close(j.doneCh)
+		s.abortLocked(rec.job)
 	}
 	s.mu.Unlock()
 }
@@ -272,95 +251,69 @@ func clip(b []byte) string {
 }
 
 // ---------------------------------------------------------------------------
-// Resolution: local (owner) and routed (front door)
+// Forwarding and replica recovery (resolve's peer-facing halves)
 
-// resolveLocal resolves one key on this node: cache hit, singleflight join,
-// replica recovery, or a real simulation (which then replicates to the key's
-// successors). how is "hit", "join", "recovered" or "simulated". This is the
-// owner half of compute-at-owner routing — it never forwards.
-func (s *Server) resolveLocal(key, seed uint64, cs ConfigSpec) (*machine.Result, []byte, string, error) {
-	res, js, hit, fl, owner := s.cache.Acquire(key)
-	if hit {
-		return res, js, "hit", nil
+// forward is resolve's phase 3: each peer-owned key goes to its owner's
+// /cluster/compute, then down its replica successors, with at most
+// forwardFanout requests in flight. A returned copy is kept: the front door
+// converges toward the hot set its own clients ask for, so repeat queries
+// stay local (LRU-bounded). Keys no peer answered — or whose replica set now
+// holds this node — resolve here, after every forward has returned, through
+// a route=false resolve: membership timeouts will reshuffle the ring
+// shortly, and result bytes are identical wherever computed.
+func (s *Server) forward(j *Job, node *cluster.Node, seed uint64, cfgs []ConfigSpec, remote []pending, on func(int, *machine.Result, []byte, string)) error {
+	var (
+		mu      sync.Mutex
+		local   []int
+		lastErr error
+		wg      sync.WaitGroup
+	)
+	sem := make(chan struct{}, forwardFanout)
+	for _, p := range remote {
+		wg.Add(1)
+		sem <- struct{}{}
+		go func(i int, key uint64) {
+			defer wg.Done()
+			defer func() { <-sem }()
+			owner, _ := node.Owner(key)
+			var err error
+			for _, peer := range append([]string{owner}, node.Successors(key, node.Replicas())...) {
+				if peer == node.Self() {
+					break // the ring moved: this node is in the key's replica set
+				}
+				s.countCluster(func(c *ClusterStats) { c.ForwardsSent++ })
+				var res *machine.Result
+				var js []byte
+				if res, js, err = s.forwardCompute(peer, key, seed, cfgs[i]); err == nil {
+					s.cache.Fulfill(key, seed, cfgs[i].canonical(), res, js)
+					s.deliver(j, on, i, res, js, "forward")
+					return
+				}
+				s.countCluster(func(c *ClusterStats) { c.ForwardsFailed++ })
+			}
+			mu.Lock()
+			local = append(local, i)
+			if err != nil {
+				lastErr = err
+			}
+			mu.Unlock()
+		}(p.i, p.key)
 	}
-	if !owner {
-		<-fl.done
-		if fl.err != nil {
-			return nil, nil, "", fl.err
-		}
-		return fl.res, fl.js, "join", nil
+	wg.Wait()
+	if len(local) == 0 {
+		return nil
 	}
-	// We hold the flight. Before burning a simulation, ask the key's replica
-	// set — a restarted owner finds the copy its successors kept, which is
-	// what preserves exactly-once across a kill/restart.
-	if rres, rjs, ok := s.recoverFromReplicas(key); ok {
-		s.cache.Fulfill(key, seed, cs.canonical(), rres, rjs)
-		return rres, rjs, "recovered", nil
+	sub := make([]ConfigSpec, len(local))
+	for k, i := range local {
+		sub[k] = cfgs[i]
 	}
-	cfg := cs.canonical().Config()
-	rs, err := s.opt.Run([]machine.Config{cfg}, nil)
-	if err == nil && (len(rs) == 0 || rs[0] == nil) {
-		err = errors.New("serve: run produced no result")
-	}
-	if err != nil {
-		s.cache.Abort(key, err)
-		return nil, nil, "", err
-	}
-	sjs, err := canonicalResultJSON(rs[0])
-	if err != nil {
-		s.cache.Abort(key, err)
-		return nil, nil, "", err
-	}
-	s.cache.Fulfill(key, seed, cs.canonical(), rs[0], sjs)
-	s.mu.Lock()
-	s.simulatedRuns++
-	s.simulatedCycles += uint64(rs[0].Breakdown.Exec)
-	s.mu.Unlock()
-	s.replicateAsync(key, seed, cs.canonical(), sjs)
-	return rs[0], sjs, "simulated", nil
-}
-
-// resolveAny resolves one key from anywhere in the cluster: local cache
-// first, then the owner, then the owner's replica set, and — when every peer
-// is unreachable — locally as a last resort (membership timeouts will
-// reshuffle the ring shortly; result bytes are identical wherever computed).
-// how adds "forward" to resolveLocal's vocabulary.
-func (s *Server) resolveAny(key, seed uint64, cs ConfigSpec) (*machine.Result, []byte, string, error) {
-	if res, js, ok := s.cache.Peek(key); ok {
-		return res, js, "hit", nil
-	}
-	node := s.clusterNode()
-	if node == nil {
-		return s.resolveLocal(key, seed, cs)
-	}
-	owner, self := node.Owner(key)
-	if self {
-		return s.resolveLocal(key, seed, cs)
-	}
-	targets := append([]string{owner}, node.Successors(key, node.Replicas())...)
-	var lastErr error
-	for _, peer := range targets {
-		if peer == node.Self() {
-			// The ring moved under us; we are in the key's replica set.
-			return s.resolveLocal(key, seed, cs)
-		}
-		s.countCluster(func(c *clusterCounters) { c.forwardsSent++ })
-		res, js, err := s.forwardCompute(peer, key, seed, cs)
-		if err != nil {
-			lastErr = err
-			s.countCluster(func(c *clusterCounters) { c.forwardsFailed++ })
-			continue
-		}
-		// Keep a copy: the front door converges toward the hot set its own
-		// clients ask for, so repeat queries stay local (LRU-bounded).
-		s.cache.Fulfill(key, seed, cs.canonical(), res, js)
-		return res, js, "forward", nil
-	}
-	res, js, how, err := s.resolveLocal(key, seed, cs)
+	err := s.resolve(j, seed, sub, false, func(k int, res *machine.Result, js []byte, how string) {
+		s.deliver(j, on, local[k], res, js, how)
+	})
 	if err != nil && lastErr != nil {
-		return nil, nil, "", fmt.Errorf("%w (after forward failure: %v)", err, lastErr)
+		return fmt.Errorf("%w (after forward failure: %v)", err, lastErr)
 	}
-	return res, js, how, err
+	return err
 }
 
 // clusterComputeRequest is the /cluster/compute wire format. Key is the
@@ -395,9 +348,9 @@ func (s *Server) forwardCompute(peer string, key, seed uint64, cs ConfigSpec) (*
 	return &res, data, nil
 }
 
-// recoverFromReplicas probes the key's successor set for a replicated copy.
-func (s *Server) recoverFromReplicas(key uint64) (*machine.Result, []byte, bool) {
-	node := s.clusterNode()
+// recoverFromReplicas probes the key's successor set for a replicated copy
+// (nothing to probe outside cluster mode, when node is nil).
+func (s *Server) recoverFromReplicas(node *cluster.Node, key uint64) (*machine.Result, []byte, bool) {
 	if node == nil {
 		return nil, nil, false
 	}
@@ -414,7 +367,7 @@ func (s *Server) recoverFromReplicas(key uint64) (*machine.Result, []byte, bool)
 		if err := json.Unmarshal(data, &res); err != nil {
 			continue
 		}
-		s.countCluster(func(c *clusterCounters) { c.recoveries++ })
+		s.countCluster(func(c *ClusterStats) { c.Recoveries++ })
 		return &res, data, true
 	}
 	return nil, nil, false
@@ -455,83 +408,12 @@ func (s *Server) replicateAsync(key, seed uint64, cs ConfigSpec, js []byte) {
 		for peer := range targets {
 			code, _, err := s.peerDo("POST", peer, "/api/v1/cluster/replicate", body)
 			if err != nil || code/100 != 2 {
-				s.countCluster(func(c *clusterCounters) { c.replicasFailed++ })
+				s.countCluster(func(c *ClusterStats) { c.ReplicasFailed++ })
 				continue
 			}
-			s.countCluster(func(c *clusterCounters) { c.replicasSent++ })
+			s.countCluster(func(c *ClusterStats) { c.ReplicasSent++ })
 		}
 	}()
-}
-
-// resolveRemote resolves a job's peer-owned configs (bounded fan-out) and
-// folds each outcome into the job's counters, events and tenant accounting.
-func (s *Server) resolveRemote(j *Job, keys []uint64, remote []int, results []*machine.Result, resJSON [][]byte) error {
-	var (
-		rmu      sync.Mutex
-		firstErr error
-		wg       sync.WaitGroup
-	)
-	sem := make(chan struct{}, 4)
-	for _, i := range remote {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			res, js, how, err := s.resolveAny(keys[i], j.spec.Seed, j.spec.Configs[i])
-			rmu.Lock()
-			defer rmu.Unlock()
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				return
-			}
-			results[i], resJSON[i] = res, js
-			s.accountResolved(j, i, res, js, how)
-		}(i)
-	}
-	wg.Wait()
-	return firstErr
-}
-
-// accountResolved attributes one cluster-resolved config to the job using
-// only the pre-cluster lifecycle event kinds, so every chain still satisfies
-// ValidateEventChain: peer-resolved configs surface as cache_hit events with
-// a "cluster:…" detail (from this node's perspective, the cluster's
-// replicated cache answered).
-func (s *Server) accountResolved(j *Job, i int, res *machine.Result, js []byte, how string) {
-	s.mu.Lock()
-	j.done++
-	switch how {
-	case "hit":
-		j.cacheHits++
-		s.eventLocked(j, svclog.EvCacheHit, i, 0, "")
-	case "join":
-		j.joins++
-		s.eventLocked(j, svclog.EvJoined, i, 0, "")
-	case "simulated":
-		j.simulated++
-		s.eventLocked(j, svclog.EvSimulated, i, uint64(res.Breakdown.Exec), "")
-		s.eventLocked(j, svclog.EvPersisted, i, 0, "")
-	default: // "forward", "recovered"
-		j.forwarded++
-		s.eventLocked(j, svclog.EvCacheHit, i, 0, "cluster:"+how)
-	}
-	s.mu.Unlock()
-	s.tenantAccount(j, func(u *TenantUsage) {
-		u.ResultBytes += uint64(len(js))
-		switch how {
-		case "hit":
-			u.CacheHits++
-		case "join":
-			u.Joins++
-		case "simulated":
-			u.CacheMisses++
-			u.SimulatedRuns++
-			u.EngineCycles += uint64(res.Breakdown.Exec)
-		}
-	})
 }
 
 // ---------------------------------------------------------------------------
@@ -557,7 +439,7 @@ func (s *Server) RedirectTarget(spec JobSpec) (peer, reason string, ok bool) {
 		if len(peers) == 0 {
 			return "", "", false
 		}
-		s.countCluster(func(c *clusterCounters) { c.redirects++ })
+		s.countCluster(func(c *ClusterStats) { c.Redirects++ })
 		return peers[rand.Intn(len(peers))], "draining", true
 	}
 	owner := ""
@@ -579,7 +461,7 @@ func (s *Server) RedirectTarget(spec JobSpec) (peer, reason string, ok bool) {
 	if owner == "" {
 		return "", "", false
 	}
-	s.countCluster(func(c *clusterCounters) { c.redirects++ })
+	s.countCluster(func(c *ClusterStats) { c.Redirects++ })
 	return owner, "keys owned by peer", true
 }
 
@@ -631,7 +513,7 @@ func (s *Server) stealJob(thief string) (stealResponse, bool) {
 	j.started = time.Now()
 	j.stolenBy = thief
 	s.stolen[j.id] = &stolenRecord{job: j, thief: thief, deadline: time.Now().Add(stealRequeueAfter)}
-	s.cl.stealsGiven++
+	s.cl.StealsGiven++
 	if s.opt.Tenants != nil && j.spec.Tenant != "" {
 		s.opt.Tenants.started(j.spec.Tenant)
 	}
@@ -653,11 +535,11 @@ func (s *Server) takeStolen(id string) (*Job, bool) {
 	return rec.job, true
 }
 
-// completeStolen finalizes a job whose configs a thief resolved, mirroring
-// runJob's tail: results install, metrics fold, events close the chain.
-// Global simulation counters do NOT move here — they moved on the node that
-// actually simulated, which is what makes the cluster-wide sum of
-// simulated_runs the exactly-once proof.
+// completeStolen finalizes a job whose configs a thief resolved: the results
+// install into the cache, each config settles as "stolen:<how>", and the job
+// finishes like a worker's run. Global simulation counters do NOT move here
+// — they moved on the node that actually simulated, which is what makes the
+// cluster-wide sum of simulated_runs the exactly-once proof.
 func (s *Server) completeStolen(j *Job, rep stolenReport) {
 	n := len(j.spec.Configs)
 	results := make([]*machine.Result, n)
@@ -681,66 +563,12 @@ func (s *Server) completeStolen(j *Job, rep stolenReport) {
 		}
 	}
 	if jobErr == nil {
-		for i := range results {
-			s.cache.Fulfill(j.spec.Configs[i].Key(j.spec.Seed), j.spec.Seed,
-				j.spec.Configs[i].canonical(), results[i], resJSON[i])
-		}
-		if j.metrics != nil {
-			for _, r := range results {
-				machine.CollectMetrics(j.metrics, r)
-			}
+		for i, cs := range j.spec.Configs {
+			s.cache.Fulfill(cs.Key(j.spec.Seed), j.spec.Seed, cs.canonical(), results[i], resJSON[i])
+			s.settle(j, i, rep.Hows[i], "stolen:"+rep.Hows[i], results[i], resJSON[i])
 		}
 	}
-	s.mu.Lock()
-	j.finished = time.Now()
-	if jobErr != nil {
-		j.state = JobFailed
-		j.err = jobErr
-		s.jobsFailed++
-		s.eventLocked(j, svclog.EvFailed, -1, 0, jobErr.Error())
-		s.opt.Log.Error("job_failed", "job", j.id, "name", j.spec.Name, "thief", j.stolenBy,
-			"err", jobErr.Error())
-	} else {
-		j.state = JobDone
-		j.results = results
-		j.resultJSON = resJSON
-		j.done = n
-		for i, how := range rep.Hows {
-			switch how {
-			case "simulated":
-				j.simulated++
-			case "join":
-				j.joins++
-			case "hit":
-				j.cacheHits++
-			default:
-				j.forwarded++
-			}
-			s.eventLocked(j, svclog.EvCacheHit, i, 0, "stolen:"+how)
-		}
-		s.jobsDone++
-		s.eventLocked(j, svclog.EvDone, -1, 0, "stolen by "+j.stolenBy)
-		s.opt.Log.Info("job_done", "job", j.id, "name", j.spec.Name, "thief", j.stolenBy,
-			"wall_us", j.finished.Sub(j.submitted).Microseconds())
-	}
-	sec := j.finished.Sub(j.started).Seconds()
-	if s.ewmaJobSec == 0 {
-		s.ewmaJobSec = sec
-	} else {
-		s.ewmaJobSec = 0.7*s.ewmaJobSec + 0.3*sec
-	}
-	s.mu.Unlock()
-	if s.opt.Tenants != nil && j.spec.Tenant != "" {
-		s.opt.Tenants.finished(j.spec.Tenant, jobErr != nil, sec)
-	}
-	if jobErr == nil {
-		s.tenantAccount(j, func(u *TenantUsage) {
-			for _, js := range resJSON {
-				u.ResultBytes += uint64(len(js))
-			}
-		})
-	}
-	close(j.doneCh)
+	s.finish(j, jobErr)
 }
 
 // requeueStolen returns jobs whose thieves blew the deadline to the local
@@ -758,7 +586,7 @@ func (s *Server) requeueStolen(now time.Time) {
 		j.stolenBy = ""
 		j.started = time.Time{}
 		s.queue.push(j)
-		s.cl.stealsRequeued++
+		s.cl.StealsRequeued++
 		if s.opt.Tenants != nil && j.spec.Tenant != "" {
 			s.opt.Tenants.requeued(j.spec.Tenant)
 		}
@@ -769,8 +597,9 @@ func (s *Server) requeueStolen(now time.Time) {
 }
 
 // trySteal runs the thief side: when this node is fully idle, ask one random
-// alive peer for work, resolve it through the normal owner routing, and post
-// the results back.
+// alive peer for work, resolve it through resolve like a front door (no job
+// of its own here: the victim settles the configs), and post the results
+// back.
 func (s *Server) trySteal() {
 	node := s.clusterNode()
 	if node == nil {
@@ -798,7 +627,7 @@ func (s *Server) trySteal() {
 	if err := json.Unmarshal(data, &sj); err != nil {
 		return
 	}
-	s.countCluster(func(c *clusterCounters) { c.stealsTaken++ })
+	s.countCluster(func(c *ClusterStats) { c.StealsTaken++ })
 	s.opt.Log.Info("job_steal_taken", "victim", victim, "job", sj.ID,
 		"configs", len(sj.Spec.Configs))
 	rep := stolenReport{
@@ -806,26 +635,23 @@ func (s *Server) trySteal() {
 		Hows:    make([]string, len(sj.Spec.Configs)),
 		Results: make([]json.RawMessage, len(sj.Spec.Configs)),
 	}
-	for i, cs := range sj.Spec.Configs {
-		_, js, how, err := s.resolveAny(cs.Key(sj.Spec.Seed), sj.Spec.Seed, cs)
-		if err != nil {
-			rep.Error = err.Error()
-			rep.Hows, rep.Results = nil, nil
-			break
-		}
+	if err := s.resolve(nil, sj.Spec.Seed, sj.Spec.Configs, true, func(i int, _ *machine.Result, js []byte, how string) {
 		rep.Hows[i], rep.Results[i] = how, json.RawMessage(js)
+	}); err != nil {
+		rep.Error = err.Error()
+		rep.Hows, rep.Results = nil, nil
 	}
 	rbody, err := json.Marshal(rep)
 	if err != nil {
-		s.countCluster(func(c *clusterCounters) { c.stealsFailed++ })
+		s.countCluster(func(c *ClusterStats) { c.StealsFailed++ })
 		return
 	}
 	code, _, err = s.peerDo("POST", victim, "/api/v1/cluster/stolen", rbody)
 	if err != nil || code/100 != 2 || rep.Error != "" {
-		s.countCluster(func(c *clusterCounters) { c.stealsFailed++ })
+		s.countCluster(func(c *ClusterStats) { c.StealsFailed++ })
 		return
 	}
-	s.countCluster(func(c *clusterCounters) { c.stealsCompleted++ })
+	s.countCluster(func(c *ClusterStats) { c.StealsCompleted++ })
 }
 
 // ---------------------------------------------------------------------------
@@ -861,8 +687,9 @@ func (a *API) clusterHeartbeat(w http.ResponseWriter, r *http.Request) {
 	node.HandleHeartbeat(w, r)
 }
 
-// clusterCompute resolves one config as this node (the owner side of
-// forwarding). The response body is the canonical result JSON verbatim.
+// clusterCompute resolves one config as this node — the owner side of
+// forwarding, a route=false resolve that never forwards again. The response
+// body is the canonical result JSON verbatim.
 func (a *API) clusterCompute(w http.ResponseWriter, r *http.Request) {
 	if _, ok := a.clusterGuard(w, r, true); !ok {
 		return
@@ -879,12 +706,16 @@ func (a *API) clusterCompute(w http.ResponseWriter, r *http.Request) {
 			req.Key, want))
 		return
 	}
-	_, js, how, err := a.srv.resolveLocal(key, req.Seed, req.Spec)
+	var js []byte
+	var how string
+	err := a.srv.resolve(nil, req.Seed, []ConfigSpec{req.Spec}, false, func(_ int, _ *machine.Result, b []byte, h string) {
+		js, how = b, h
+	})
 	if err != nil {
 		a.writeError(w, r, http.StatusInternalServerError, err.Error())
 		return
 	}
-	a.srv.countCluster(func(c *clusterCounters) { c.forwardsServed++ })
+	a.srv.countCluster(func(c *ClusterStats) { c.ForwardsServed++ })
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("X-Aggsimd-How", how)
 	w.Write(js)
@@ -903,11 +734,11 @@ func (a *API) clusterLookup(w http.ResponseWriter, r *http.Request) {
 	}
 	_, js, ok := a.srv.Cache().Peek(key)
 	if !ok {
-		a.srv.countCluster(func(c *clusterCounters) { c.lookupsMissed++ })
+		a.srv.countCluster(func(c *ClusterStats) { c.LookupsMissed++ })
 		a.writeError(w, r, http.StatusNotFound, "key not resident")
 		return
 	}
-	a.srv.countCluster(func(c *clusterCounters) { c.lookupsServed++ })
+	a.srv.countCluster(func(c *ClusterStats) { c.LookupsServed++ })
 	w.Header().Set("Content-Type", "application/json")
 	w.Write(js)
 }
@@ -936,7 +767,7 @@ func (a *API) clusterReplicate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	a.srv.Cache().Fulfill(want, ie.Seed, ie.Spec, &res, append([]byte(nil), ie.Result...))
-	a.srv.countCluster(func(c *clusterCounters) { c.replicasReceived++ })
+	a.srv.countCluster(func(c *ClusterStats) { c.ReplicasReceived++ })
 	w.WriteHeader(http.StatusNoContent)
 }
 

@@ -173,6 +173,8 @@ type Job struct {
 	stolenBy  string // peer executing this job after stealing it from our queue
 	err       error
 
+	// results/resultJSON fill in as configs settle; Results serves them
+	// only once the job is done, and a failed job drops them.
 	results    []*machine.Result
 	resultJSON [][]byte
 	metrics    *obs.Registry
@@ -205,11 +207,11 @@ type JobStatus struct {
 	// Forwarded counts configs resolved by a cluster peer; StolenBy names the
 	// peer that executed the whole job after stealing it. Both are zero-valued
 	// (and absent from the JSON) outside cluster mode.
-	Forwarded int      `json:"forwarded,omitempty"`
-	StolenBy  string   `json:"stolen_by,omitempty"`
-	Telemetry bool     `json:"telemetry,omitempty"`
-	Tenant    string   `json:"tenant,omitempty"`
-	Error     string   `json:"error,omitempty"`
+	Forwarded int    `json:"forwarded,omitempty"`
+	StolenBy  string `json:"stolen_by,omitempty"`
+	Telemetry bool   `json:"telemetry,omitempty"`
+	Tenant    string `json:"tenant,omitempty"`
+	Error     string `json:"error,omitempty"`
 
 	SubmittedAt time.Time  `json:"submitted_at"`
 	StartedAt   *time.Time `json:"started_at,omitempty"`
@@ -264,12 +266,13 @@ type Server struct {
 	ewmaJobSec                                             float64
 
 	// Cluster mode (AttachCluster): the peer node, the counters behind the
-	// aggsimd_cluster_* metric families, and the jobs currently stolen by
+	// aggsimd_cluster_* metric families (Node, Replicas and StolenInFlight
+	// are filled in at snapshot time), and the jobs currently stolen by
 	// peers (keyed by job id, requeued past their deadline). All guarded by
 	// mu like the rest; clusterWG tracks the steal loop and the async
 	// replication goroutines so Shutdown can wait for them.
 	cluster       *cluster.Node
-	cl            clusterCounters
+	cl            ClusterStats
 	stolen        map[string]*stolenRecord
 	clusterStop   chan struct{}
 	clusterWG     sync.WaitGroup
@@ -639,11 +642,12 @@ func (s *Server) Stats() ServerStats {
 }
 
 // tenantAccount applies fn to j's tenant's usage counters (no-op in
-// anonymous mode). The per-tenant increments are made at the same points as
-// their global counterparts, which is what makes the per-tenant Prometheus
-// counters sum exactly to the globals when every job is tenant-attributed.
+// anonymous mode, and for a nil job: a peer's request). The per-tenant
+// increments are made at the same points as their global counterparts,
+// which is what makes the per-tenant Prometheus counters sum exactly to the
+// globals when every job is tenant-attributed.
 func (s *Server) tenantAccount(j *Job, fn func(u *TenantUsage)) {
-	if s.opt.Tenants != nil && j.spec.Tenant != "" {
+	if s.opt.Tenants != nil && j != nil && j.spec.Tenant != "" {
 		s.opt.Tenants.account(j.spec.Tenant, fn)
 	}
 }
@@ -673,215 +677,168 @@ func (s *Server) worker() {
 	}
 }
 
-// runJob executes one job: resolve every config against the cache, simulate
-// the misses this job owns through the batch runner, wait for flights owned
-// by other running jobs, then finalize. In cluster mode, configs whose keys
-// this node does not own are resolved through the owning peer (or its
-// replicas) instead of simulated here — the front-door half of the
-// compute-at-owner routing.
-//
-// Deadlock-freedom: flights are only ever owned by running jobs, and a job
-// always finishes its own simulations (fulfilling its flights) before
-// waiting on anyone else's, so waits form no cycle. Remote-owned configs
-// never acquire local flights at all.
+// runJob executes one job on a worker: resolve its configs through the one
+// resolution path, settling each into the job as it lands, then finish. In
+// cluster mode this is the front door of compute-at-owner routing: keys a
+// peer owns resolve through that peer instead of simulating here.
 func (s *Server) runJob(j *Job) {
-	n := len(j.spec.Configs)
-	keys := make([]uint64, n)
-	results := make([]*machine.Result, n)
-	resJSON := make([][]byte, n)
-	var toRun []int
-	type join struct {
-		i  int
-		fl *flight
-	}
-	var joins []join
-	var remote []int
+	s.finish(j, s.resolve(j, j.spec.Seed, j.spec.Configs, true, nil))
+}
+
+// pending is config i, keyed key, that resolve's classification left for a
+// later phase: an owned miss, a peer-owned key, or a join (fl is the flight
+// it waits on).
+type pending struct {
+	i   int
+	key uint64
+	fl  *flight
+}
+
+// resolve is the service's one resolution path. It resolves cfgs under seed
+// for job j — nil when a peer asked: the owner side of /cluster/compute, or
+// a thief running a stolen job — and calls on once per resolved config with
+// its result, canonical bytes and how it resolved ("hit", "join",
+// "recovered", "simulated" or "forward"); with a nil on, each config settles
+// into j instead. on may run concurrently for distinct configs; a config
+// that fails is not reported, and the first error is returned. With route set and a cluster attached, keys a peer owns
+// resolve through that peer; otherwise every key resolves on this node.
+//
+// The phases run in a fixed order:
+//
+//  1. classify: a peer-owned key is served from a local copy (Peek) or set
+//     aside for forwarding; any other key is Acquired — a hit, a join on
+//     someone else's flight, or a flight of our own, which tries replica
+//     recovery before it becomes a miss to simulate;
+//  2. simulate every owned miss in one batch through Options.Run;
+//  3. forward the peer-owned keys (bounded fan-out); keys no peer answered
+//     resolve here through a recursive route=false call;
+//  4. wait on the joins.
+//
+// So no job waits — on a local flight or on a peer — while it holds a flight
+// it has not yet simulated (a replica lookup in phase 1 is a cache probe at
+// the peer, which never waits on a flight). Every flight therefore completes
+// without waiting on anyone, and waits form no cycle, on one node or across
+// nodes.
+func (s *Server) resolve(j *Job, seed uint64, cfgs []ConfigSpec, route bool, on func(i int, res *machine.Result, js []byte, how string)) error {
 	node := s.clusterNode()
-
-	recordHit := func(i int, res *machine.Result, js []byte) {
-		results[i], resJSON[i] = res, js
-		s.mu.Lock()
-		j.done++
-		j.cacheHits++
-		s.eventLocked(j, svclog.EvCacheHit, i, 0, "")
-		s.mu.Unlock()
-		s.tenantAccount(j, func(u *TenantUsage) {
-			u.CacheHits++
-			u.ResultBytes += uint64(len(js))
-		})
-	}
-
-	for i, cs := range j.spec.Configs {
-		keys[i] = cs.Key(j.spec.Seed)
-		if node != nil {
-			if _, self := node.Owner(keys[i]); !self {
+	var owned, remote, joins []pending
+	for i, cs := range cfgs {
+		key := cs.Key(seed)
+		if route && node != nil {
+			if _, self := node.Owner(key); !self {
 				// A replicated or previously forwarded copy serves locally;
 				// otherwise the owner resolves it (never a local flight).
-				if res, js, ok := s.cache.Peek(keys[i]); ok {
-					recordHit(i, res, js)
+				if res, js, ok := s.cache.Peek(key); ok {
+					s.deliver(j, on, i, res, js, "hit")
 				} else {
-					remote = append(remote, i)
+					remote = append(remote, pending{i: i, key: key})
 				}
 				continue
 			}
 		}
-		res, js, hit, fl, owner := s.cache.Acquire(keys[i])
+		// The tenant's misses and joins move here, exactly when the cache's
+		// global counters do, whatever the flight's outcome.
+		res, js, hit, fl, owner := s.cache.Acquire(key)
 		switch {
 		case hit:
-			recordHit(i, res, js)
-		case owner:
-			if node != nil {
-				// Owned key, no cached copy: ask the replica set before
-				// burning a simulation — a restarted owner recovers the
-				// results its successors kept (exactly-once across
-				// kill/restart, even through its own front door).
-				if res, js, ok := s.recoverFromReplicas(keys[i]); ok {
-					s.cache.Fulfill(keys[i], j.spec.Seed, cs.canonical(), res, js)
-					results[i], resJSON[i] = res, js
-					s.mu.Lock()
-					j.done++
-					j.forwarded++
-					s.eventLocked(j, svclog.EvCacheHit, i, 0, "cluster:recovered")
-					s.mu.Unlock()
-					s.tenantAccount(j, func(u *TenantUsage) { u.ResultBytes += uint64(len(js)) })
-					continue
-				}
-			}
-			toRun = append(toRun, i)
-			s.tenantAccount(j, func(u *TenantUsage) { u.CacheMisses++ })
-			_ = fl // resolved via cache.Fulfill/Abort below
-		default:
-			joins = append(joins, join{i: i, fl: fl})
+			s.deliver(j, on, i, res, js, "hit")
+		case !owner:
 			s.tenantAccount(j, func(u *TenantUsage) { u.Joins++ })
+			joins = append(joins, pending{i: i, key: key, fl: fl})
+		default:
+			s.tenantAccount(j, func(u *TenantUsage) { u.CacheMisses++ })
+			// Before burning a simulation, ask the key's replica set — a
+			// restarted owner recovers the copies its successors kept
+			// (exactly-once across kill/restart, whichever door the key
+			// entered through).
+			if res, js, ok := s.recoverFromReplicas(node, key); ok {
+				s.cache.Fulfill(key, seed, cs.canonical(), res, js)
+				s.deliver(j, on, i, res, js, "recovered")
+			} else {
+				owned = append(owned, pending{i: i, key: key})
+			}
 		}
 	}
 
-	var jobErr error
+	var firstErr error
+	keep := func(err error) {
+		if err != nil && firstErr == nil {
+			firstErr = err
+		}
+	}
+	if len(owned) > 0 {
+		keep(s.simulate(j, seed, cfgs, owned, on))
+	}
 	if len(remote) > 0 {
-		jobErr = s.resolveRemote(j, keys, remote, results, resJSON)
+		keep(s.forward(j, node, seed, cfgs, remote, on))
 	}
-	if len(toRun) > 0 {
-		if err := s.simulate(j, keys, toRun, results, resJSON); err != nil && jobErr == nil {
-			jobErr = err
-		}
-	}
-
 	for _, w := range joins {
 		<-w.fl.done
 		if w.fl.err != nil {
-			if jobErr == nil {
-				jobErr = w.fl.err
-			}
+			keep(w.fl.err)
 			continue
 		}
-		results[w.i], resJSON[w.i] = w.fl.res, w.fl.js
-		s.mu.Lock()
-		j.done++
-		j.joins++
-		s.eventLocked(j, svclog.EvJoined, w.i, 0, "")
-		s.mu.Unlock()
-		s.tenantAccount(j, func(u *TenantUsage) { u.ResultBytes += uint64(len(w.fl.js)) })
+		s.deliver(j, on, w.i, w.fl.res, w.fl.js, "join")
 	}
-
-	if jobErr == nil && j.metrics != nil {
-		for _, r := range results {
-			machine.CollectMetrics(j.metrics, r)
-		}
-	}
-	if jobErr == nil && j.telemetry {
-		// Persist the flight record before the job flips to done, so a
-		// client that sees "done" can always fetch the artifacts.
-		s.recordFlight(j)
-	}
-
-	s.mu.Lock()
-	j.finished = time.Now()
-	s.running--
-	if jobErr != nil {
-		j.state = JobFailed
-		j.err = jobErr
-		s.jobsFailed++
-		s.eventLocked(j, svclog.EvFailed, -1, 0, jobErr.Error())
-		args := []any{"job", j.id, "name", j.spec.Name,
-			"err", jobErr.Error(), "wall_us", j.finished.Sub(j.submitted).Microseconds()}
-		if j.spec.Tenant != "" {
-			args = append(args, "tenant", j.spec.Tenant)
-		}
-		s.opt.Log.Error("job_failed", args...)
-	} else {
-		j.state = JobDone
-		j.results = results
-		j.resultJSON = resJSON
-		s.jobsDone++
-		s.eventLocked(j, svclog.EvDone, -1, 0, "")
-		args := []any{"job", j.id, "name", j.spec.Name,
-			"cache_hits", j.cacheHits, "simulated", j.simulated, "joins", j.joins,
-			"wall_us", j.finished.Sub(j.submitted).Microseconds()}
-		if j.spec.Tenant != "" {
-			args = append(args, "tenant", j.spec.Tenant)
-		}
-		s.opt.Log.Info("job_done", args...)
-	}
-	// EWMA of job wall time feeds the retry-after estimate.
-	sec := j.finished.Sub(j.started).Seconds()
-	if s.ewmaJobSec == 0 {
-		s.ewmaJobSec = sec
-	} else {
-		s.ewmaJobSec = 0.7*s.ewmaJobSec + 0.3*sec
-	}
-	s.mu.Unlock()
-	if s.opt.Tenants != nil && j.spec.Tenant != "" {
-		s.opt.Tenants.finished(j.spec.Tenant, jobErr != nil, sec)
-	}
-	close(j.doneCh)
+	return firstErr
 }
 
-// simulate runs the cache-missing configs this job owns and publishes each
-// result into the cache (resolving the singleflight flights) as it lands.
-// With spans attached the runs go one at a time: a span recorder is a shared
-// observer, exactly like the figure drivers' shared-trace mode.
-func (s *Server) simulate(j *Job, keys []uint64, toRun []int, results []*machine.Result, resJSON [][]byte) error {
-	batches := [][]int{toRun}
-	if j.spans != nil {
+// simulate is resolve's phase 2: it runs the owned misses through
+// Options.Run and publishes each result as it lands — canonical bytes into
+// the cache (resolving the flight), the engine-run counters, replication to
+// the key's successors. A job with spans runs its configs one at a time (a
+// span recorder is a shared observer, exactly like the figure drivers'
+// shared-trace mode); a telemetry job folds each config's profile into its
+// flight record.
+func (s *Server) simulate(j *Job, seed uint64, cfgs []ConfigSpec, owned []pending, on func(int, *machine.Result, []byte, string)) error {
+	var spans *obs.Spans
+	telemetry := false
+	if j != nil {
+		spans, telemetry = j.spans, j.telemetry
+	}
+	batches := [][]pending{owned}
+	if spans != nil {
 		batches = batches[:0]
-		for _, i := range toRun {
-			batches = append(batches, []int{i})
+		for k := range owned {
+			batches = append(batches, owned[k:k+1])
 		}
 	}
+	published := make([]bool, len(cfgs))
 	var firstErr error
 	for _, batch := range batches {
-		cfgs := make([]machine.Config, len(batch))
+		runCfgs := make([]machine.Config, len(batch))
 		// Telemetry jobs attach a fresh profiler per config; machine.Run
 		// folds the run's attribution into it before returning, so by the
 		// time onResult fires the profile is complete and snapshot-safe.
 		var profs []*obs.Profile
-		if j.telemetry {
+		if telemetry {
 			profs = make([]*obs.Profile, len(batch))
 		}
-		for bi, i := range batch {
-			cfg := j.spec.Configs[i].canonical().Config()
-			cfg.Spans = j.spans
+		for bi, o := range batch {
+			cfg := cfgs[o.i].canonical().Config()
+			cfg.Spans = spans
 			if profs != nil {
 				profs[bi] = obs.NewProfile()
 				cfg.Profile = profs[bi]
 			}
-			cfgs[bi] = cfg
+			runCfgs[bi] = cfg
 		}
 		onResult := func(bi int, r *machine.Result) {
 			if r == nil {
 				return // failure; flight aborted after the batch returns
 			}
-			i := batch[bi]
+			i, key := batch[bi].i, batch[bi].key
 			js, err := canonicalResultJSON(r)
 			if err != nil {
-				// Result not serializable: still serve it in-process but
-				// never cache it (the flight resolves with the error).
-				s.cache.Abort(keys[i], err)
+				// Result not serializable: never cached (the flight
+				// resolves with the error).
+				s.cache.Abort(key, err)
 				return
 			}
-			results[i], resJSON[i] = r, js
-			s.cache.Fulfill(keys[i], j.spec.Seed, j.spec.Configs[i].canonical(), r, js)
-			s.replicateAsync(keys[i], j.spec.Seed, j.spec.Configs[i].canonical(), js)
+			cs := cfgs[i].canonical()
+			s.cache.Fulfill(key, seed, cs, r, js)
+			s.replicateAsync(key, seed, cs, js)
+			published[i] = true
 			if profs != nil && profs[bi] != nil {
 				// Fold this config's cycle attribution into the job's
 				// flight record: additive snapshot merge plus folded
@@ -899,32 +856,24 @@ func (s *Server) simulate(j *Job, keys []uint64, toRun []int, results []*machine
 				s.mu.Unlock()
 			}
 			s.mu.Lock()
-			j.done++
-			j.simulated++
 			s.simulatedRuns++
 			s.simulatedCycles += uint64(r.Breakdown.Exec)
-			s.eventLocked(j, svclog.EvSimulated, i, uint64(r.Breakdown.Exec), "")
-			s.eventLocked(j, svclog.EvPersisted, i, 0, "")
 			s.mu.Unlock()
-			s.tenantAccount(j, func(u *TenantUsage) {
-				u.SimulatedRuns++
-				u.EngineCycles += uint64(r.Breakdown.Exec)
-				u.ResultBytes += uint64(len(js))
-			})
+			s.deliver(j, on, i, r, js, "simulated")
 		}
-		_, err := s.opt.Run(cfgs, onResult)
+		_, err := s.opt.Run(runCfgs, onResult)
 		if err != nil && firstErr == nil {
 			firstErr = err
 		}
-		// Any config that produced no result leaves an unresolved flight;
+		// Any config that published no result leaves an unresolved flight;
 		// abort it so joined jobs unblock with the error.
-		for _, i := range batch {
-			if results[i] == nil {
+		for _, o := range batch {
+			if !published[o.i] {
 				e := err
 				if e == nil {
 					e = errors.New("serve: run produced no result")
 				}
-				s.cache.Abort(keys[i], e)
+				s.cache.Abort(o.key, e)
 				if firstErr == nil {
 					firstErr = e
 				}
@@ -932,6 +881,155 @@ func (s *Server) simulate(j *Job, keys []uint64, toRun []int, results []*machine
 		}
 	}
 	return firstErr
+}
+
+// deliver hands config i's outcome to resolve's caller: to on, or — when on
+// is nil — settled into job j.
+func (s *Server) deliver(j *Job, on func(int, *machine.Result, []byte, string), i int, res *machine.Result, js []byte, how string) {
+	if on == nil {
+		s.settle(j, i, how, "", res, js)
+		return
+	}
+	on(i, res, js, how)
+}
+
+// settle records how config i of job j resolved — its result, the job
+// counter, one lifecycle event and the tenant's usage — for local,
+// forwarded, recovered and stolen configs alike. how is resolve's vocabulary; detail is empty for
+// a config this node resolved and "stolen:<how>" for one a thief resolved.
+// Peer-sourced bytes (forward, recovered, stolen) surface as cache_hit
+// events with a "cluster:<how>" or "stolen:<how>" detail, so every chain
+// still satisfies ValidateEventChain. The tenant is charged hits and engine
+// runs only for what this node's cache and engine did; its misses and joins
+// were charged in resolve, when the cache's global counters moved.
+func (s *Server) settle(j *Job, i int, how, detail string, r *machine.Result, js []byte) {
+	local := detail == ""
+	s.mu.Lock()
+	if j.results == nil {
+		j.results = make([]*machine.Result, len(j.spec.Configs))
+		j.resultJSON = make([][]byte, len(j.spec.Configs))
+	}
+	j.results[i], j.resultJSON[i] = r, js
+	j.done++
+	switch how {
+	case "hit":
+		j.cacheHits++
+	case "join":
+		j.joins++
+	case "simulated":
+		j.simulated++
+	default: // "forward", "recovered"
+		j.forwarded++
+	}
+	switch {
+	case !local:
+		s.eventLocked(j, svclog.EvCacheHit, i, 0, detail)
+	case how == "hit":
+		s.eventLocked(j, svclog.EvCacheHit, i, 0, "")
+	case how == "join":
+		s.eventLocked(j, svclog.EvJoined, i, 0, "")
+	case how == "simulated":
+		s.eventLocked(j, svclog.EvSimulated, i, uint64(r.Breakdown.Exec), "")
+		s.eventLocked(j, svclog.EvPersisted, i, 0, "")
+	default:
+		s.eventLocked(j, svclog.EvCacheHit, i, 0, "cluster:"+how)
+	}
+	s.mu.Unlock()
+	s.tenantAccount(j, func(u *TenantUsage) {
+		u.ResultBytes += uint64(len(js))
+		switch {
+		case !local: // the thief's cache and engine did the work
+		case how == "hit":
+			u.CacheHits++
+		case how == "simulated":
+			u.SimulatedRuns++
+			u.EngineCycles += uint64(r.Breakdown.Exec)
+		}
+	})
+}
+
+// finish ends a running job — a worker's or a stolen one — once every
+// config settled, or with its error: metrics fold, the flight record
+// persists, the terminal event closes the chain, and the job's wall time
+// feeds the EWMA behind the retry-after estimates. A stolen job holds no
+// worker slot, so only a worker's run gives one back.
+func (s *Server) finish(j *Job, jobErr error) {
+	if jobErr == nil && j.metrics != nil {
+		for _, r := range j.results {
+			machine.CollectMetrics(j.metrics, r)
+		}
+	}
+	if jobErr == nil && j.telemetry {
+		// Persist the flight record before the job flips to done, so a
+		// client that sees "done" can always fetch the artifacts.
+		s.recordFlight(j)
+	}
+
+	s.mu.Lock()
+	j.finished = time.Now()
+	detail := ""
+	if j.stolenBy == "" {
+		s.running--
+	} else {
+		detail = "stolen by " + j.stolenBy
+	}
+	wall := j.finished.Sub(j.submitted).Microseconds()
+	var args []any
+	if jobErr != nil {
+		j.state = JobFailed
+		j.err = jobErr
+		j.results, j.resultJSON = nil, nil
+		s.jobsFailed++
+		s.eventLocked(j, svclog.EvFailed, -1, 0, jobErr.Error())
+		args = []any{"job", j.id, "name", j.spec.Name, "err", jobErr.Error(), "wall_us", wall}
+	} else {
+		j.state = JobDone
+		s.jobsDone++
+		s.eventLocked(j, svclog.EvDone, -1, 0, detail)
+		args = []any{"job", j.id, "name", j.spec.Name,
+			"cache_hits", j.cacheHits, "simulated", j.simulated, "joins", j.joins, "wall_us", wall}
+	}
+	if j.spec.Tenant != "" {
+		args = append(args, "tenant", j.spec.Tenant)
+	}
+	if j.stolenBy != "" {
+		args = append(args, "thief", j.stolenBy)
+	}
+	if jobErr != nil {
+		s.opt.Log.Error("job_failed", args...)
+	} else {
+		s.opt.Log.Info("job_done", args...)
+	}
+	// EWMA of job wall time feeds the retry-after estimate.
+	sec := j.finished.Sub(j.started).Seconds()
+	if s.ewmaJobSec == 0 {
+		s.ewmaJobSec = sec
+	} else {
+		s.ewmaJobSec = 0.7*s.ewmaJobSec + 0.3*sec
+	}
+	s.mu.Unlock()
+	if s.opt.Tenants != nil && j.spec.Tenant != "" {
+		s.opt.Tenants.finished(j.spec.Tenant, jobErr != nil, sec)
+	}
+	close(j.doneCh)
+}
+
+// abortLocked ends a job the drain will not run: one still queued, or one
+// still out on loan to a thief. s.mu must be held.
+func (s *Server) abortLocked(j *Job) {
+	j.state = JobAborted
+	j.err = ErrDraining
+	j.finished = time.Now()
+	s.jobsAborted++
+	if s.opt.Tenants != nil && j.spec.Tenant != "" {
+		s.opt.Tenants.aborted(j.spec.Tenant, j.stolenBy != "")
+	}
+	detail := ErrDraining.Error()
+	if j.stolenBy != "" {
+		detail = "shutdown while stolen by " + j.stolenBy
+	}
+	s.eventLocked(j, svclog.EvAborted, -1, 0, detail)
+	close(j.doneCh)
 }
 
 // Shutdown drains the service: new submissions are rejected, queued jobs
@@ -942,16 +1040,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.draining = true
 	s.opt.Log.Info("server_draining", "queued", len(s.queue), "running", s.running)
 	for len(s.queue) > 0 {
-		j := s.queue.pop()
-		j.state = JobAborted
-		j.err = ErrDraining
-		j.finished = time.Now()
-		s.jobsAborted++
-		if s.opt.Tenants != nil && j.spec.Tenant != "" {
-			s.opt.Tenants.aborted(j.spec.Tenant)
-		}
-		s.eventLocked(j, svclog.EvAborted, -1, 0, ErrDraining.Error())
-		close(j.doneCh)
+		s.abortLocked(s.queue.pop())
 	}
 	s.cond.Broadcast()
 	s.mu.Unlock()

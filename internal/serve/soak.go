@@ -360,8 +360,10 @@ func waitTimed(ctx context.Context, c *Client, id string, poll time.Duration, mu
 // order: submitted → queued → started, then per-config resolution events
 // covering every one of nConfigs configurations (cache_hit, joined, or
 // simulated followed by persisted), then exactly one terminal event last.
-// Sequence numbers must be strictly increasing and wall-time attribution
-// non-decreasing.
+// A queued event directly after started (no per-config event in between) is
+// a requeue — a stolen job whose thief went silent — and reopens the chain
+// for the next started. Sequence numbers must be strictly increasing and
+// wall-time attribution non-decreasing.
 func ValidateEventChain(events []svclog.JobEvent, nConfigs int) error {
 	if len(events) == 0 {
 		return fmt.Errorf("empty chain")
@@ -401,6 +403,11 @@ func ValidateEventChain(events []svclog.JobEvent, nConfigs int) error {
 	persisted := map[int]bool{}
 	for i, ev := range events[2 : len(events)-1] {
 		switch ev.Kind {
+		case svclog.EvQueued:
+			if events[i+1].Kind != svclog.EvStarted {
+				return fmt.Errorf("event %d: unexpected mid-chain kind %s", i+2, ev.Kind)
+			}
+			started = false
 		case svclog.EvStarted:
 			if started {
 				return fmt.Errorf("duplicate %s event", svclog.EvStarted)

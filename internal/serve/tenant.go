@@ -517,12 +517,17 @@ func (r *Tenants) finished(name string, failed bool, sec float64) {
 	}
 }
 
-// aborted retires one still-queued job during a drain.
-func (r *Tenants) aborted(name string) {
+// aborted retires one job during a drain: still queued, or running (a
+// stolen job the shutdown could not wait for).
+func (r *Tenants) aborted(name string, running bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if st := r.states[name]; st != nil {
-		st.queued--
+		if running {
+			st.running--
+		} else {
+			st.queued--
+		}
 		st.usage.JobsAborted++
 	}
 }
@@ -535,17 +540,6 @@ func (r *Tenants) requeued(name string) {
 	if st := r.states[name]; st != nil {
 		st.running--
 		st.queued++
-	}
-}
-
-// abortedRunning retires one running job during a drain (a stolen job the
-// shutdown could not wait for).
-func (r *Tenants) abortedRunning(name string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if st := r.states[name]; st != nil {
-		st.running--
-		st.usage.JobsAborted++
 	}
 }
 

@@ -40,12 +40,12 @@ bench:
 
 # bench-smoke runs each benchmark once — compile + one iteration, a CI-speed
 # check that the benchmarks still work — then pins the profiler-disabled
-# record paths, the floored steady-state resource calendar and the shared
-# machine Access wrapper's L1-hit path at zero allocations (the
-# alloc-regression gate).
+# record paths, the floored steady-state resource calendar, the shared
+# machine Access wrapper's L1-hit path and the dense directory's lookups of
+# touched lines at zero allocations (the alloc-regression gate).
 bench-smoke:
 	$(GO) test -bench . -benchtime 1x -benchmem -run '^$$' ./...
-	$(GO) test -run 'ZeroAlloc' ./internal/obs ./internal/sim ./internal/machine
+	$(GO) test -run 'ZeroAlloc' ./internal/obs ./internal/sim ./internal/machine ./internal/hashmap
 
 ci: build vet test race-hot
 

@@ -35,6 +35,9 @@ type dirEntry struct {
 	state   dirState
 	master  int32
 	sharers proto.PtrVec
+	// provider is the node that last supplied the line: the first
+	// injection target when its master is displaced (node 0 until then).
+	provider int32
 }
 
 // Config describes a Flat COMA machine.
@@ -86,12 +89,9 @@ type Machine struct {
 	bank   []sim.Resource
 	disk   []sim.Resource
 
-	// dir is the open-addressed flat directory (line -> entry); entries come
-	// from a slab pool, so directory growth does not churn the allocator.
-	dir      hashmap.Map[*dirEntry]
-	dirPool  hashmap.Pool[dirEntry]
-	homes    hashmap.Map[int] // page -> directory home (first touch)
-	provider hashmap.Map[int] // line -> node that last supplied it (injection target)
+	// dir is the flat directory: a dense entry per line of every touched
+	// page, and per page its directory home (the first toucher).
+	dir hashmap.Pages[int32, dirEntry]
 
 	allNodes []int
 }
@@ -102,6 +102,11 @@ func New(cfg Config) (*Machine, error) {
 		return nil, fmt.Errorf("coma: need at least one node")
 	}
 	m := &Machine{cfg: cfg}
+	dir, err := hashmap.NewPages[int32](cfg.PageBytes, cfg.LineBytes, 0, dirEntry{master: -1})
+	if err != nil {
+		return nil, fmt.Errorf("coma: %w", err)
+	}
+	m.dir = dir
 	if err := m.Init("coma", cfg.Nodes, cfg.LineBytes, cfg.Mesh, m.access, m.auditAccess); err != nil {
 		return nil, err
 	}
@@ -182,27 +187,15 @@ func (m *Machine) auditAccess(addr uint64) {
 // AMOf exposes a node's attraction memory for tests.
 func (m *Machine) AMOf(n int) *cache.LocalMemory { return m.am[n] }
 
-func (m *Machine) pageOf(addr uint64) uint64 { return addr &^ (m.cfg.PageBytes - 1) }
-
-func (m *Machine) homeFor(p int, addr uint64) int {
-	page := m.pageOf(addr)
-	h, ok := m.homes.Get(page)
-	if !ok {
-		h = p
-		m.homes.Put(page, h)
+// lookup returns the directory home and entry of addr's line; the first
+// node to touch a page becomes its home.
+func (m *Machine) lookup(p int, addr uint64) (int, *dirEntry) {
+	home, e, fresh := m.dir.Touch(addr)
+	if fresh {
+		*home = int32(p)
 		m.St.FirstTouches++
 	}
-	return h
-}
-
-func (m *Machine) entry(line uint64) *dirEntry {
-	e, ok := m.dir.Get(line)
-	if !ok {
-		e = m.dirPool.Get()
-		e.master = -1
-		m.dir.Put(line, e)
-	}
-	return e
+	return int(*home), e
 }
 
 // hopClass classifies a transaction by distinct node hops: requester->home->
@@ -242,8 +235,7 @@ func (m *Machine) access(now sim.Time, p int, addr uint64, write bool) (sim.Time
 		return memDone, proto.LatMem
 	}
 
-	home := m.homeFor(p, addr)
-	e := m.entry(line)
+	home, e := m.lookup(p, addr)
 	if write {
 		return m.writeMiss(memDone, p, home, addr, line, e, hit)
 	}
@@ -342,7 +334,7 @@ func (m *Machine) readMiss(reqT sim.Time, p, home int, addr, line uint64, e *dir
 		m.Spans.Mark(obs.PhaseNetReply, done)
 	}
 	class := hopClass(p, home, supplier)
-	m.fill(done, p, addr, fillState, false, supplier)
+	m.fill(done, p, addr, e, fillState, false, supplier)
 	return done, class
 }
 
@@ -447,7 +439,7 @@ func (m *Machine) writeMiss(reqT sim.Time, p, home int, addr, line uint64, e *di
 		}
 		m.caches[p].Fill(addr, true)
 	} else {
-		m.fill(done, p, addr, cache.Dirty, true, supplier)
+		m.fill(done, p, addr, e, cache.Dirty, true, supplier)
 	}
 	return done, class
 }
@@ -461,13 +453,12 @@ func (m *Machine) amLat(q int, line uint64) sim.Time {
 	return m.cfg.Timing.MemOffChip
 }
 
-// fill inserts a fetched line into p's attraction memory and caches.
-// Displaced non-master shared lines are dropped silently; a displaced master
-// must be injected into another attraction memory.
-func (m *Machine) fill(when sim.Time, p int, addr uint64, st cache.State, writable bool, supplier int) {
-	line := m.AlignLine(addr)
-	m.provider.Put(line, supplier)
-	v := m.am[p].Insert(line, st, rank)
+// fill inserts a fetched line (directory entry e) into p's attraction memory
+// and caches. Displaced non-master shared lines are dropped silently; a
+// displaced master must be injected into another attraction memory.
+func (m *Machine) fill(when sim.Time, p int, addr uint64, e *dirEntry, st cache.State, writable bool, supplier int) {
+	e.provider = int32(supplier)
+	v := m.am[p].Insert(m.AlignLine(addr), st, rank)
 	m.caches[p].Fill(addr, writable)
 	if !v.Valid() {
 		return
@@ -487,12 +478,12 @@ func (m *Machine) fill(when sim.Time, p int, addr uint64, st cache.State, writab
 // 100% space exists somewhere, so this is a true last resort) the line is
 // swapped out to disk at its home — COMA's overflow safety valve.
 func (m *Machine) inject(t sim.Time, from int, line uint64, st cache.State) {
-	e := m.entry(line)
+	home, e := m.lookup(from, line)
 	if int(e.master) != from {
 		panic(fmt.Sprintf("coma: injecting %#x from %d but master is %d", line, from, e.master))
 	}
 	data := m.Net.DataBytes(m.cfg.LineBytes)
-	target, _ := m.provider.Get(line)
+	target := int(e.provider)
 	if target == from || target < 0 || target >= m.cfg.Nodes {
 		target = (from + 1) % m.cfg.Nodes
 	}
@@ -528,7 +519,6 @@ func (m *Machine) inject(t sim.Time, from int, line uint64, st cache.State) {
 	}
 	// Overflow: swap to disk at the home, invalidating the straggler
 	// non-master copies so no stale data survives.
-	home := m.homeFor(from, line)
 	arrive := m.Net.Send(t, cur, home, data)
 	hs := m.hproc[home].Acquire(arrive, m.cfg.Costs.WBOcc)
 	m.Prof.Node(home, obs.ResProc, obs.HCPageout, m.cfg.Costs.WBOcc)

@@ -273,15 +273,17 @@ func (m *Machine) homeFor(t sim.Time, addr uint64) (int, *DirEntry, sim.Time) {
 		m.St.FirstTouches++
 	}
 	dm := m.dmem[d]
-	if !dm.PageMapped(page) {
+	e := dm.Entry(addr)
+	if e == nil {
 		if !dm.DirRoom() {
 			t = m.pageout(t, d, addr, false)
 		}
 		if err := dm.MapPage(page); err != nil {
 			panic(fmt.Sprintf("core: cannot map page %#x at D%d: %v", page, d, err))
 		}
+		e = dm.Entry(addr)
 	}
-	return d, dm.Entry(addr), t
+	return d, e, t
 }
 
 // ownerLat is the latency for a P-node's memory controller to read a line it

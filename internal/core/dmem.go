@@ -126,16 +126,14 @@ type DMem struct {
 	// reusing more shared slots (the paper's threshold).
 	sharedMin int
 
-	// The Directory array is an open-addressed line->entry table (the
-	// simulator's stand-in for the paper's fully-associative hardware
-	// lookup); entries are recycled through a slab pool across page
-	// map/unmap cycles, so steady-state paging allocates nothing.
-	entries   hashmap.Map[*DirEntry]
-	entryPool hashmap.Pool[DirEntry]
+	// dir is the Directory array: a slot of entries per mapped page, at
+	// most dirCap entries in all. MapPage takes a slot and UnmapPage returns
+	// it, so steady-state paging allocates nothing. A slot's header is the
+	// page's index in pages.
+	dir hashmap.Pages[int, DirEntry]
 
-	pages   []uint64 // mapped pages in map order (FIFO pageout victims)
-	pageIdx hashmap.Map[int]
-	onDisk  hashmap.Set // pages whose data was written to disk
+	pages  []uint64    // mapped pages in map order (FIFO pageout victims)
+	onDisk hashmap.Set // pages whose data was written to disk
 
 	// Set-associative mode (§2.2.2's rejected alternative, kept as an
 	// ablation): when saAssoc > 0, a line may only occupy a slot of its
@@ -159,7 +157,12 @@ func NewDMem(dataLines, dirEntries int, lineBytes, pageBytes uint64, sharedMin i
 	if pageBytes == 0 || lineBytes == 0 || pageBytes%lineBytes != 0 {
 		return nil, fmt.Errorf("core: page size %d not a multiple of line size %d", pageBytes, lineBytes)
 	}
+	dir, err := hashmap.NewPages[int, DirEntry](pageBytes, lineBytes, dirEntries/int(pageBytes/lineBytes), DirEntry{})
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
 	d := &DMem{
+		dir:        dir,
 		dataCap:    dataLines,
 		dirCap:     dirEntries,
 		lineBytes:  lineBytes,
@@ -282,12 +285,15 @@ func (d *DMem) AlignLine(addr uint64) uint64 { return addr &^ (d.lineBytes - 1) 
 // Entry returns the directory entry for the line containing addr, or nil if
 // its page is not mapped here.
 func (d *DMem) Entry(addr uint64) *DirEntry {
-	e, _ := d.entries.Get(d.AlignLine(addr))
+	e, _ := d.dir.Get(addr)
 	return e
 }
 
 // PageMapped reports whether page is currently mapped at this D-node.
-func (d *DMem) PageMapped(page uint64) bool { _, ok := d.pageIdx.Get(page); return ok }
+func (d *DMem) PageMapped(page uint64) bool {
+	_, ok := d.dir.Get(page)
+	return ok && page%d.pageBytes == 0
+}
 
 // PageOnDisk reports whether page was previously paged out to disk.
 func (d *DMem) PageOnDisk(page uint64) bool { return d.onDisk.Has(page) }
@@ -295,14 +301,14 @@ func (d *DMem) PageOnDisk(page uint64) bool { return d.onDisk.Has(page) }
 // DirRoom reports whether the Directory array can accept another page's
 // worth of entries.
 func (d *DMem) DirRoom() bool {
-	return d.entries.Len()+int(d.pageBytes/d.lineBytes) <= d.dirCap
+	return d.MappedLines()+int(d.pageBytes/d.lineBytes) <= d.dirCap
 }
 
 // MappedPages returns the number of pages currently mapped.
 func (d *DMem) MappedPages() int { return len(d.pages) }
 
 // MappedLines returns the number of directory entries in use.
-func (d *DMem) MappedLines() int { return d.entries.Len() }
+func (d *DMem) MappedLines() int { return d.dir.Len() * int(d.pageBytes/d.lineBytes) }
 
 // --- page mapping ---
 
@@ -319,22 +325,22 @@ func (d *DMem) MapPage(page uint64) error {
 		return fmt.Errorf("core: page %#x already mapped", page)
 	}
 	if !d.DirRoom() {
-		return fmt.Errorf("core: directory array full (%d/%d entries)", d.entries.Len(), d.dirCap)
+		return fmt.Errorf("core: directory array full (%d/%d entries)", d.MappedLines(), d.dirCap)
 	}
 	fromDisk := d.onDisk.Has(page)
-	for a := page; a < page+d.pageBytes; a += d.lineBytes {
-		e := d.entryPool.Get()
-		*e = DirEntry{
-			Addr:      a,
+	idx, _, _ := d.dir.Touch(page)
+	*idx = len(d.pages)
+	_, lines, _ := d.dir.Page(page)
+	for i := range lines {
+		lines[i] = DirEntry{
+			Addr:      page + uint64(i)*d.lineBytes,
 			State:     DirHome,
 			Master:    HomeMaster,
 			LocalPtr:  nilPtr,
 			Unfetched: !fromDisk,
 			OnDisk:    fromDisk,
 		}
-		d.entries.Put(a, e)
 	}
-	d.pageIdx.Put(page, len(d.pages))
 	d.pages = append(d.pages, page)
 	d.onDisk.Remove(page)
 	d.Stats.PagesMapped++
@@ -344,10 +350,9 @@ func (d *DMem) MapPage(page uint64) error {
 // PageLines calls fn for each directory entry of a mapped page, in address
 // order.
 func (d *DMem) PageLines(page uint64, fn func(*DirEntry)) {
-	for a := page; a < page+d.pageBytes; a += d.lineBytes {
-		if e, ok := d.entries.Get(a); ok {
-			fn(e)
-		}
+	_, lines, _ := d.dir.Page(page)
+	for i := range lines {
+		fn(&lines[i])
 	}
 }
 
@@ -357,32 +362,27 @@ func (d *DMem) PageLines(page uint64, fn func(*DirEntry)) {
 // (the OS "recalls the lines that are currently not in the D-node memory",
 // §2.2.2).
 func (d *DMem) UnmapPage(page uint64) error {
-	idx, ok := d.pageIdx.Get(page)
-	if !ok {
+	hdr, lines, ok := d.dir.Page(page)
+	if !ok || page%d.pageBytes != 0 {
 		return fmt.Errorf("core: unmap of unmapped page %#x", page)
 	}
-	for a := page; a < page+d.pageBytes; a += d.lineBytes {
-		e, ok := d.entries.Get(a)
-		if !ok {
-			continue
+	for i := range lines {
+		if e := &lines[i]; e.State != DirHome {
+			return fmt.Errorf("core: unmap of page %#x with un-recalled line %#x in state %v", page, e.Addr, e.State)
 		}
-		if e.State != DirHome {
-			return fmt.Errorf("core: unmap of page %#x with un-recalled line %#x in state %v", page, a, e.State)
-		}
-		if e.LocalPtr != nilPtr {
-			d.releaseSlot(e)
-		}
-		d.entries.Delete(a)
-		d.entryPool.Put(e)
+	}
+	for i := range lines {
+		d.releaseSlot(&lines[i])
 	}
 	// Remove from the FIFO page list (swap-with-last keeps this O(1); the
 	// FIFO ordering of the remaining pages is preserved well enough for
 	// victim selection because pageout always takes from the front).
-	last := len(d.pages) - 1
+	idx, last := *hdr, len(d.pages)-1
 	d.pages[idx] = d.pages[last]
-	d.pageIdx.Put(d.pages[idx], idx)
+	moved, _, _ := d.dir.Page(d.pages[idx])
+	*moved = idx
 	d.pages = d.pages[:last]
-	d.pageIdx.Delete(page)
+	d.dir.Release(page)
 	d.onDisk.Add(page)
 	d.Stats.PagesUnmapped++
 	return nil
@@ -479,7 +479,7 @@ func (d *DMem) EnsureSlot(e *DirEntry) (res AllocResult, dropped *DirEntry) {
 	if d.sharedLen > d.sharedMin {
 		i, ok := d.popHead(listShared)
 		if ok {
-			victim, _ := d.entries.Get(d.ptrs[i].line)
+			victim := d.Entry(d.ptrs[i].line)
 			if victim == nil || victim.LocalPtr != i {
 				panic("core: SharedList back pointer desynchronized")
 			}
@@ -513,7 +513,7 @@ func (d *DMem) reuseSharedInSet(e *DirEntry) *DirEntry {
 	want := d.saSet(e.Addr)
 	i := d.sharedHead
 	for steps := 0; i != nilPtr && steps < 64; steps++ {
-		victim, _ := d.entries.Get(d.ptrs[i].line)
+		victim := d.Entry(d.ptrs[i].line)
 		next := d.ptrs[i].next
 		if victim != nil && d.saSet(victim.Addr) == want {
 			d.unlink(i)
@@ -610,7 +610,7 @@ func (d *DMem) ForceSlot(e *DirEntry) (bool, *DirEntry) {
 	if !ok {
 		return false, nil
 	}
-	victim, _ := d.entries.Get(d.ptrs[i].line)
+	victim := d.Entry(d.ptrs[i].line)
 	if victim == nil || victim.LocalPtr != i {
 		panic("core: SharedList back pointer desynchronized")
 	}
@@ -631,7 +631,7 @@ func (d *DMem) NeedPageout() bool {
 
 // CensusAdd accumulates this D-node's Figure 8 classification into c.
 func (d *DMem) CensusAdd(c *Census) {
-	d.entries.Range(func(_ uint64, e *DirEntry) bool {
+	d.dir.Range(func(_ uint64, e *DirEntry) bool {
 		switch {
 		case e.State == DirDirty:
 			c.DirtyInP++
@@ -721,7 +721,7 @@ func (d *DMem) CheckInvariants() error {
 			if !p.used {
 				return fmt.Errorf("slot %d on SharedList but free", i)
 			}
-			e, _ := d.entries.Get(p.line)
+			e := d.Entry(p.line)
 			if e == nil || e.LocalPtr != int32(i) {
 				return fmt.Errorf("slot %d SharedList back pointer broken", i)
 			}
@@ -744,7 +744,7 @@ func (d *DMem) CheckInvariants() error {
 	// Every entry with a slot is backed by it; dirty entries hold no slot.
 	slots := 0
 	var entErr error
-	d.entries.Range(func(a uint64, e *DirEntry) bool {
+	d.dir.Range(func(a uint64, e *DirEntry) bool {
 		if a != e.Addr {
 			entErr = fmt.Errorf("entry key %#x != addr %#x", a, e.Addr)
 			return false
@@ -773,12 +773,12 @@ func (d *DMem) CheckInvariants() error {
 	if slots != noList+shared {
 		return fmt.Errorf("used slots %d != entries with slots %d", noList+shared, slots)
 	}
-	if d.entries.Len() > d.dirCap {
-		return fmt.Errorf("directory overflow: %d > %d", d.entries.Len(), d.dirCap)
+	if d.MappedLines() > d.dirCap {
+		return fmt.Errorf("directory overflow: %d > %d", d.MappedLines(), d.dirCap)
 	}
 	if d.saAssoc > 0 {
 		counts := make([]int, len(d.saCount))
-		d.entries.Range(func(_ uint64, e *DirEntry) bool {
+		d.dir.Range(func(_ uint64, e *DirEntry) bool {
 			if e.LocalPtr != nilPtr {
 				counts[d.saSet(e.Addr)]++
 			}

@@ -228,6 +228,90 @@ func TestUnmapPageToDisk(t *testing.T) {
 	}
 }
 
+// TestMapUnmapRemapReusesSlots cycles pages through the Directory array's
+// page slots: an unmapped page's slot goes to the next mapped page, which
+// gets fresh entries, the FIFO pageout order survives the swap-with-last, and
+// the invariants hold after every step.
+func TestMapUnmapRemapReusesSlots(t *testing.T) {
+	d := newDMem(t) // 3 pages of 4 lines
+	check := func(step string) {
+		t.Helper()
+		if err := d.CheckInvariants(); err != nil {
+			t.Fatalf("%s: %v", step, err)
+		}
+	}
+	for _, pg := range []uint64{0, 512, 1024} {
+		if err := d.MapPage(pg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, a := range []uint64{0, 640, 1152} {
+		e := d.Entry(a)
+		d.EnsureSlot(e)
+		e.State = DirShared
+		e.Master = 2
+		e.Sharers.Add(2)
+		d.LinkShared(e)
+	}
+	check("mapped")
+	old := d.Entry(512 + 128)
+	d.PageLines(512, func(e *DirEntry) {
+		d.UnlinkShared(e)
+		e.State, e.Master = DirHome, HomeMaster
+		e.Sharers.Clear()
+	})
+	if err := d.UnmapPage(512); err != nil {
+		t.Fatal(err)
+	}
+	check("unmapped")
+	if d.PageMapped(512) || d.Entry(512) != nil || d.MappedLines() != 8 || d.FreeLen() != 6 {
+		t.Fatalf("after unmap: mapped=%v lines=%d free=%d", d.PageMapped(512), d.MappedLines(), d.FreeLen())
+	}
+	if err := d.MapPage(4096); err != nil {
+		t.Fatal(err)
+	}
+	check("remapped")
+	e := d.Entry(4096 + 128)
+	if e != old {
+		t.Fatal("remapped page did not reuse the released slot")
+	}
+	want := DirEntry{Addr: 4096 + 128, State: DirHome, Master: HomeMaster, LocalPtr: nilPtr, Unfetched: true}
+	if *e != want {
+		t.Fatalf("reused slot entry = %+v, want %+v", *e, want)
+	}
+	if got := d.PageoutCandidates(3, 1<<20); len(got) != 3 || got[0] != 0 || got[1] != 1024 || got[2] != 4096 {
+		t.Fatalf("pageout order after remap = %#x, want [0 0x400 0x1000]", got)
+	}
+	// Many more cycles through the same three slots; unmapped pages come
+	// back from disk.
+	for i := uint64(0); i < 50; i++ {
+		pg := d.PageoutCandidates(1, 1<<20)[0]
+		d.PageLines(pg, func(e *DirEntry) {
+			d.UnlinkShared(e)
+			e.State, e.Master = DirHome, HomeMaster
+			e.Sharers.Clear()
+		})
+		if err := d.UnmapPage(pg); err != nil {
+			t.Fatal(err)
+		}
+		next := 512 * (i%6 + 1)
+		if d.PageMapped(next) {
+			next = 1<<16 + 512*i
+		}
+		fromDisk := d.PageOnDisk(next)
+		if err := d.MapPage(next); err != nil {
+			t.Fatalf("cycle %d: %v", i, err)
+		}
+		if e := d.Entry(next); e.OnDisk != fromDisk || e.Unfetched == fromDisk || e.HasCopy() {
+			t.Fatalf("cycle %d: page %#x (from disk %v) mapped as %+v", i, next, fromDisk, *e)
+		}
+		check("cycle")
+	}
+	if d.MappedPages() != 3 || d.DirRoom() {
+		t.Fatalf("after cycles: %d pages mapped, DirRoom=%v", d.MappedPages(), d.DirRoom())
+	}
+}
+
 func TestUnmapPageRejectsLiveLines(t *testing.T) {
 	d := newDMem(t)
 	d.MapPage(0)

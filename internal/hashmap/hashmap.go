@@ -1,16 +1,16 @@
-// Package hashmap provides the open-addressed hash table behind every
-// directory structure in the simulator. Coherence-directory lookup is the hot
-// path of all three machine models (the D-node arrays of §2.2.2, the NUMA and
-// COMA home directories, the page tables), and a Go map probe there costs an
-// interface-free but still hash-function-heavy runtime call plus pointer
-// chasing. Map is a uint64-keyed linear-probing table with Fibonacci hashing
-// and backward-shift deletion (no tombstones), so a lookup is a multiply, a
-// shift and a short linear scan over two flat arrays.
+// Package hashmap provides the simulator's keyed tables. Map is a
+// uint64-keyed open-addressed hash table with Fibonacci hashing and
+// backward-shift deletion (no tombstones), so a lookup is a multiply, a shift
+// and a short linear scan over two flat arrays. It serves the sparse tables:
+// the page table, the AGG page homes and on-disk set, the service cache, and
+// each directory's own page index.
 //
-// The companion Pool is a chunked slab allocator with a free list: directory
-// entries are recycled across page map/unmap cycles instead of churning the
-// garbage collector, while their addresses stay stable for the lifetime of
-// the pool (entries live in fixed blocks that are never reallocated).
+// Pages is the dense coherence directory of all three machines (the D-node
+// Directory array of §2.2.2, the NUMA and COMA home directories). Every
+// touched page has an entry for each of its lines, so it keeps the entries
+// inline in blocks of whole pages and hashes only the page number: a lookup is
+// one probe of a small table plus an index. Blocks are never moved, so the
+// protocol code may hold an entry pointer across later page touches.
 package hashmap
 
 // fibMul is 2^64 / phi, the classic Fibonacci-hashing multiplier: it spreads

@@ -131,32 +131,6 @@ func TestSet(t *testing.T) {
 	}
 }
 
-func TestPoolStability(t *testing.T) {
-	var p Pool[[2]uint64]
-	ptrs := make([]*[2]uint64, 1000)
-	for i := range ptrs {
-		ptrs[i] = p.Get()
-		ptrs[i][0] = uint64(i)
-	}
-	// Growth must not move earlier records.
-	for i := range ptrs {
-		if ptrs[i][0] != uint64(i) {
-			t.Fatalf("record %d moved or corrupted: %d", i, ptrs[i][0])
-		}
-	}
-	if p.Live() != 1000 {
-		t.Fatalf("Live = %d, want 1000", p.Live())
-	}
-	p.Put(ptrs[3])
-	r := p.Get()
-	if r != ptrs[3] {
-		t.Fatal("free list did not recycle the returned record")
-	}
-	if r[0] != 0 {
-		t.Fatal("recycled record not zeroed")
-	}
-}
-
 func BenchmarkMapGet(b *testing.B) {
 	b.ReportAllocs()
 	var m Map[uint64]
@@ -166,6 +140,24 @@ func BenchmarkMapGet(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.Get(uint64(i%(1<<14)) * 128)
+	}
+}
+
+// BenchmarkDirLookup is BenchmarkMapGet's line set (1<<14 lines, 128 B
+// apart) through the dense page directory: one page probe plus an index.
+func BenchmarkDirLookup(b *testing.B) {
+	b.ReportAllocs()
+	p, err := NewPages[int32, uint64](4096, 128, 0, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := uint64(0); i < 1<<14; i++ {
+		_, e, _ := p.Touch(i * 128)
+		*e = i
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.Touch(uint64(i%(1<<14)) * 128)
 	}
 }
 

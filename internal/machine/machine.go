@@ -194,6 +194,9 @@ func Size(cfg Config, fp uint64) (Sizing, error) {
 	if cfg.Pressure <= 0 || cfg.Pressure > 1 {
 		return Sizing{}, fmt.Errorf("machine: pressure %v outside (0,1]", cfg.Pressure)
 	}
+	if pages := fp / workload.PageBytes; pages > 1<<ptBits {
+		return Sizing{}, fmt.Errorf("machine: footprint of %d pages exceeds the %d-page physical space", pages, 1<<ptBits)
+	}
 	total := uint64(float64(fp) / cfg.Pressure)
 	s := Sizing{TotalDRAM: total, PNodes: cfg.Threads}
 	switch cfg.Arch {

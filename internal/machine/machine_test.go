@@ -67,6 +67,27 @@ func TestSizeValidation(t *testing.T) {
 	}
 }
 
+// TestOversizedFootprintRejected checks that a footprint beyond the page
+// table's 2^ptBits physical pages is refused at sizing time, before any
+// machine is built, instead of wrapping the frame counter and aliasing two
+// virtual pages onto one frame.
+func TestOversizedFootprintRejected(t *testing.T) {
+	if _, err := Size(Config{Arch: NUMA, Threads: 4, Pressure: 0.75}, (1<<ptBits)*workload.PageBytes); err != nil {
+		t.Fatalf("footprint of exactly 2^ptBits pages rejected: %v", err)
+	}
+	cfg := smallCfg(COMA, "dbase")
+	cfg.App.Scale = 1024 // dbase grows linearly: about 14 GB
+	if fp := workload.MustNew(cfg.App).Footprint(); fp/workload.PageBytes <= 1<<ptBits {
+		t.Fatalf("test setup: dbase at scale %v is only %d MB", cfg.App.Scale, fp>>20)
+	}
+	for _, arch := range []Arch{AGG, NUMA, COMA} {
+		cfg.Arch = arch
+		if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "physical space") {
+			t.Fatalf("%s at scale %v: err = %v, want a physical-space error", arch, cfg.App.Scale, err)
+		}
+	}
+}
+
 func TestSizingInvariants(t *testing.T) {
 	fp := uint64(8 << 20)
 	// AGG: total D memory constant across D-node counts.

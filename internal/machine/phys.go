@@ -27,7 +27,8 @@ func newPageTable() *pageTable {
 
 // translate maps a virtual address to its physical address, allocating a
 // frame on first touch. The frame sequence is a bijection of the allocation
-// counter (odd multiplier modulo 2^ptBits), so distinct pages never collide.
+// counter (odd multiplier modulo 2^ptBits), so distinct pages never collide
+// while the counter stays below 2^ptBits; Size rejects footprints beyond it.
 func (pt *pageTable) translate(addr uint64) uint64 {
 	vpage := addr / workload.PageBytes
 	off := addr % workload.PageBytes

@@ -83,11 +83,9 @@ type Machine struct {
 	hproc  []sim.Resource    // on-chip directory/protocol engine
 	bank   []sim.Resource
 
-	// dir is the open-addressed home directory (line -> entry); entries come
-	// from a slab pool, so directory growth does not churn the allocator.
-	dir     hashmap.Map[*dirEntry]
-	dirPool hashmap.Pool[dirEntry]
-	homes   hashmap.Map[int] // page -> home node (first touch)
+	// dir is the home directory: a dense entry per line of every touched
+	// page, and per page its home node (the first toucher).
+	dir hashmap.Pages[int32, dirEntry]
 
 	allNodes []int
 }
@@ -98,6 +96,11 @@ func New(cfg Config) (*Machine, error) {
 		return nil, fmt.Errorf("numa: need at least one node")
 	}
 	m := &Machine{cfg: cfg}
+	dir, err := hashmap.NewPages[int32](cfg.PageBytes, cfg.LineBytes, 0, dirEntry{owner: -1})
+	if err != nil {
+		return nil, fmt.Errorf("numa: %w", err)
+	}
+	m.dir = dir
 	if err := m.Init("numa", cfg.Nodes, cfg.LineBytes, cfg.Mesh, m.access, m.auditAccess); err != nil {
 		return nil, err
 	}
@@ -164,28 +167,15 @@ func (m *Machine) auditAccess(addr uint64) {
 	}
 }
 
-func (m *Machine) pageOf(addr uint64) uint64 { return addr &^ (m.cfg.PageBytes - 1) }
-
-func (m *Machine) homeFor(p int, addr uint64) int {
-	page := m.pageOf(addr)
-	h, ok := m.homes.Get(page)
-	if !ok {
-		h = p
-		m.homes.Put(page, h)
+// lookup returns the home node and directory entry of addr's line; the
+// first node to touch a page becomes its home.
+func (m *Machine) lookup(p int, addr uint64) (int, *dirEntry) {
+	home, e, fresh := m.dir.Touch(addr)
+	if fresh {
+		*home = int32(p)
 		m.St.FirstTouches++
 	}
-	return h
-}
-
-func (m *Machine) entry(addr uint64) *dirEntry {
-	line := m.AlignLine(addr)
-	e, ok := m.dir.Get(line)
-	if !ok {
-		e = m.dirPool.Get()
-		e.owner = -1
-		m.dir.Put(line, e)
-	}
-	return e
+	return int(*home), e
 }
 
 // memLat is node n's local-memory latency for a line, tracking the on-chip
@@ -209,8 +199,7 @@ func (m *Machine) access(now sim.Time, p int, addr uint64, write bool) (sim.Time
 		return now + lat, class
 	}
 	line := m.AlignLine(addr)
-	home := m.homeFor(p, addr)
-	e := m.entry(line)
+	home, e := m.lookup(p, addr)
 	upgrade := m.caches[p].Holds(addr) // readable copy present; ownership only
 
 	if home == p {
@@ -489,8 +478,7 @@ func (m *Machine) handleVictims(when sim.Time, p int, victims []cache.Victim) {
 			continue // other half still dirty here; defer
 		}
 		line := m.AlignLine(v.Addr)
-		e := m.entry(line)
-		h := m.homeFor(p, v.Addr)
+		h, e := m.lookup(p, v.Addr)
 		if e.state == dirDirty && int(e.owner) == p {
 			e.state = dirHome
 			e.owner = -1

@@ -18,13 +18,22 @@ func testMachine(t *testing.T) *Machine {
 	return m
 }
 
+// homeOf returns the home node of addr's page, if the page was touched.
+func homeOf(m *Machine, addr uint64) (int, bool) {
+	h, _, ok := m.dir.Page(addr)
+	if !ok {
+		return 0, false
+	}
+	return int(*h), true
+}
+
 func TestFirstTouchPlacesPageLocally(t *testing.T) {
 	m := testMachine(t)
 	_, class := m.Access(0, 2, 0x10000, false)
 	if class != proto.LatMem {
 		t.Fatalf("first touch class = %v, want Memory (local first-touch page)", class)
 	}
-	if h, _ := m.homes.Get(m.pageOf(0x10000)); h != 2 {
+	if h, ok := homeOf(m, 0x10000); !ok || h != 2 {
 		t.Fatal("page not homed at first toucher")
 	}
 }
@@ -50,7 +59,7 @@ func TestRemoteDirtyReadIsThreeHop(t *testing.T) {
 	m := testMachine(t)
 	t1, _ := m.Access(0, 0, 0x2000, true)  // P0 homes and owns
 	t2, _ := m.Access(t1, 1, 0x2080, true) // P1 dirties a line homed at 0
-	if h, ok := m.homes.Get(m.pageOf(0x2080)); !ok || h != 0 {
+	if h, ok := homeOf(m, 0x2080); !ok || h != 0 {
 		t.Fatal("test setup: page not homed at 0")
 	}
 	_, class := m.Access(t2, 2, 0x2080, false) // P2 reads P1's dirty line

@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race race-hot vet fmt-check bench bench-smoke ci figures-output audit check-stats bench-json serve-smoke soak-smoke speedup-smoke telemetry-smoke tenant-smoke cluster-smoke bench-diff
+.PHONY: build test race race-hot vet fmt-check bench bench-smoke ci figures-output audit check-stats bench-json serve-smoke soak-smoke fuzz-smoke telemetry-smoke tenant-smoke cluster-smoke bench-diff
 
 build:
 	$(GO) build ./...
@@ -27,13 +27,6 @@ race:
 # mutex).
 race-hot:
 	$(GO) test -race ./internal/sim ./internal/hashmap ./internal/serve .
-
-# speedup-smoke is the partitioned-engine gate, run under the race detector:
-# a mid-size event-driven mesh at K=1 and K=4 must produce bit-identical
-# delivery fingerprints and stats, and on a host with >= 4 cores K=4 must
-# not be slower than K=1 (on fewer cores only the identity half asserts).
-speedup-smoke:
-	$(GO) test -race -count 1 -run 'TestEventsSpeedupSmoke' -v ./internal/mesh
 
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' ./...
@@ -88,6 +81,11 @@ serve-smoke:
 # passes the strict Prometheus text parser.
 soak-smoke:
 	$(GO) test -race -count 1 -run 'TestSoakSmoke' -v ./cmd/aggsimd
+
+# fuzz-smoke runs the tenants-file parser's fuzz target for ten seconds on
+# top of its committed seed corpus (internal/serve/testdata/fuzz).
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz FuzzParseTenantsFile -fuzztime 10s ./internal/serve
 
 # telemetry-smoke is the flight-recorder end-to-end gate, run under the race
 # detector: every job head-sampled into the recorder, results byte-identical

@@ -12,7 +12,7 @@
 //	        [-telemetry-sample 0] [-artifact-dir DIR] [-artifact-bytes 64MiB]
 //	        [-drain-timeout 30s] [-log stderr|off|PATH] [-log-level info]
 //	        [-tenants-file tenants.json] [-usage-file aggsimd.usage]
-//	        [-tenants-reload 0] [-cluster-name NAME -peers host:port,...]
+//	        [-cluster-name NAME -peers host:port,...]
 //	        [-advertise host:port] [-replicas 2]
 //
 // -workers bounds concurrently running jobs; -sweep-workers bounds the
@@ -50,11 +50,10 @@
 // Tenancy is record-only for the simulator: results stay byte-identical
 // with it on or off.
 //
-// The tenants file hot-reloads without a restart: SIGHUP re-reads it
-// immediately, and -tenants-reload N polls its mtime every N (for process
-// managers that cannot signal). A reload is all-or-nothing — a malformed
-// file is rejected loudly and the old registry keeps serving; a revoked key
-// gets 401 on its next request after a successful swap.
+// The tenants file hot-reloads without a restart: SIGHUP re-reads it. A
+// reload is all-or-nothing — a malformed file is rejected loudly and the old
+// registry keeps serving; a revoked key gets 401 on its next request after a
+// successful swap.
 //
 // Cluster mode (-cluster-name NAME -peers a:1,b:2, DESIGN.md §15): N
 // daemons form a named cluster — gossip membership over the seed list,
@@ -161,7 +160,6 @@ func realMain(args []string, stderr io.Writer, stop <-chan os.Signal) int {
 	logLevel := fs.String("log-level", "info", "log floor: debug, info, warn, error")
 	tenantsFile := fs.String("tenants-file", "", "enable multi-tenant mode: JSON file declaring tenants, keys and quotas")
 	usageFile := fs.String("usage-file", "", "persist the per-tenant usage ledger to this file across restarts")
-	tenantsReload := fs.Duration("tenants-reload", 0, "poll the tenants file for changes at this interval and hot-reload it (0 = SIGHUP only)")
 	clusterName := fs.String("cluster-name", "", "join the named cluster (requires -peers)")
 	peers := fs.String("peers", "", "comma-separated seed peer addresses (host:port) for cluster bootstrap")
 	advertise := fs.String("advertise", "", "address peers reach this node at (default: the bound -addr)")
@@ -184,13 +182,8 @@ func realMain(args []string, stderr io.Writer, stop <-chan os.Signal) int {
 		fmt.Fprintln(stderr, "aggsimd: -advertise requires -cluster-name and -peers")
 		return 2
 	}
-	if *tenantsReload != 0 && *tenantsFile == "" {
-		fmt.Fprintln(stderr, "aggsimd: -tenants-reload requires -tenants-file")
-		return 2
-	}
 
 	var tenants *pimdsm.TenantRegistry
-	var tenantsFi os.FileInfo
 	if *tenantsFile != "" {
 		var err error
 		tenants, err = pimdsm.LoadTenants(*tenantsFile)
@@ -200,10 +193,6 @@ func realMain(args []string, stderr io.Writer, stop <-chan os.Signal) int {
 			fmt.Fprintln(stderr, "aggsimd: -tenants-file:", err)
 			return 1
 		}
-		// The reload poll's baseline must be captured here, next to the load
-		// it describes — capturing it after the server is up would swallow a
-		// rewrite that lands between readiness and the first poll.
-		tenantsFi, _ = os.Stat(*tenantsFile)
 	} else if *usageFile != "" {
 		fmt.Fprintln(stderr, "aggsimd: -usage-file requires -tenants-file")
 		return 2
@@ -337,58 +326,30 @@ func realMain(args []string, stderr io.Writer, stop <-chan os.Signal) int {
 		}
 	}()
 
-	// Tenants hot-reload: SIGHUP always works in tenant mode; -tenants-reload
-	// adds an mtime poll for platforms and process managers that cannot
-	// signal. Reload is all-or-nothing — a malformed file is rejected loudly
-	// and the running registry keeps serving the old tenant set; a revoked
-	// key stops authenticating on the request after a successful swap.
+	// Tenants hot-reload on SIGHUP. Reload is all-or-nothing — a malformed
+	// file is rejected loudly and the running registry keeps serving the old
+	// tenant set; a revoked key stops authenticating on the request after a
+	// successful swap.
 	hup := make(chan os.Signal, 1)
 	signal.Notify(hup, syscall.SIGHUP)
 	defer signal.Stop(hup)
-	reloadTenants := func(trigger string) {
-		if tenants == nil {
-			return
-		}
-		if err := tenants.ReloadFile(*tenantsFile); err != nil {
-			fmt.Fprintf(stderr, "aggsimd: tenants reload (%s) rejected, keeping previous registry: %v\n", trigger, err)
-			srv.Log().Error("tenants_reload_rejected", "trigger", trigger, "err", err.Error())
-			return
-		}
-		fmt.Fprintf(stderr, "aggsimd: tenants reloaded (%s): %d tenants, generation %d\n",
-			trigger, tenants.Len(), tenants.Generation())
-		srv.Log().Info("tenants_reloaded", "trigger", trigger,
-			"tenants", tenants.Len(), "generation", tenants.Generation())
-	}
-	var pollC <-chan time.Time
-	lastFi := tenantsFi
-	if *tenantsReload > 0 && tenants != nil {
-		poll := time.NewTicker(*tenantsReload)
-		defer poll.Stop()
-		pollC = poll.C
-	}
 
 	var sig os.Signal
 wait:
 	for {
 		select {
 		case <-hup:
-			reloadTenants("SIGHUP")
-		case <-pollC:
-			fi, err := os.Stat(*tenantsFile)
-			if err != nil {
-				fmt.Fprintf(stderr, "aggsimd: tenants reload (poll): %v\n", err)
+			if tenants == nil {
 				continue
 			}
-			// mtime alone is not enough: an atomic rename can land within
-			// the same coarse-clock tick as the previous write, leaving the
-			// timestamp (and even the size) unchanged. The inode identity
-			// (os.SameFile) catches every rename-style replacement.
-			if lastFi != nil && os.SameFile(lastFi, fi) &&
-				fi.ModTime().Equal(lastFi.ModTime()) && fi.Size() == lastFi.Size() {
+			if err := tenants.ReloadFile(*tenantsFile); err != nil {
+				fmt.Fprintf(stderr, "aggsimd: tenants reload rejected, keeping previous registry: %v\n", err)
+				srv.Log().Error("tenants_reload_rejected", "err", err.Error())
 				continue
 			}
-			lastFi = fi
-			reloadTenants("poll")
+			fmt.Fprintf(stderr, "aggsimd: tenants reloaded: %d tenants, generation %d\n",
+				tenants.Len(), tenants.Generation())
+			srv.Log().Info("tenants_reloaded", "tenants", tenants.Len(), "generation", tenants.Generation())
 		case sig = <-stop:
 			break wait
 		}

@@ -1,8 +1,10 @@
 package main
 
 import (
+	"bytes"
 	"fmt"
 	"os"
+	"path/filepath"
 	"syscall"
 	"testing"
 	"time"
@@ -11,8 +13,8 @@ import (
 )
 
 // writeTenantsAtomic replaces the tenants file via rename, the way a careful
-// operator (or config-management agent) would, so the daemon's mtime poll
-// never reads a half-written file.
+// operator (or config-management agent) would, so a reload never reads a
+// half-written file.
 func writeTenantsAtomic(t *testing.T, path, body string) {
 	t.Helper()
 	tmp := path + ".tmp"
@@ -43,70 +45,24 @@ func pollUntil(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// TestTenantsReloadPoll drives the -tenants-reload mtime poll end to end
-// through a real daemon: a revoked key 401s on its next request after the
-// swap, an added key starts working, and a malformed rewrite is rejected
-// with the previous registry still serving.
-func TestTenantsReloadPoll(t *testing.T) {
-	tmp := t.TempDir()
-	tenantsFile := writeTenantsFile(t, tmp) // quiet + noisy
-	d := startDaemon(t,
-		"-addr", "127.0.0.1:0", "-workers", "1", "-sweep-workers", "1",
-		"-tenants-file", tenantsFile, "-tenants-reload", "20ms", "-log", "off")
-	defer d.shutdown(t)
-
-	quiet := tenantClient(d.addr, quietKey)
-	noisy := tenantClient(d.addr, noisyKey)
-	fresh := tenantClient(d.addr, "fresh-key-000001")
-	if !authOK(quiet) || !authOK(noisy) {
-		t.Fatal("declared tenants must authenticate before any reload")
-	}
-	if authOK(fresh) {
-		t.Fatal("undeclared key authenticated")
-	}
-
-	// Revoke noisy, add fresh; the poll picks up the new mtime.
-	writeTenantsAtomic(t, tenantsFile, fmt.Sprintf(`{"tenants": [
-		{"name": "quiet", "key": %q, "max_priority": 5},
-		{"name": "fresh", "key": "fresh-key-000001"}
-	]}`, quietKey))
-	for deadline := time.Now().Add(10 * time.Second); ; {
-		if !authOK(noisy) && authOK(fresh) {
-			break
-		}
-		if time.Now().After(deadline) {
-			fi, statErr := os.Stat(tenantsFile)
-			body, _ := os.ReadFile(tenantsFile)
-			t.Fatalf("poll reload (revoke noisy, add fresh) never happened; test-side stat: %+v (err %v), contents:\n%s\ndaemon stderr:\n%s",
-				fi, statErr, body, d.logs.String())
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if !authOK(quiet) {
-		t.Fatal("retained tenant lost access across the reload")
-	}
-
-	// A malformed rewrite is rejected; the running registry keeps serving
-	// the last good tenant set.
-	writeTenantsAtomic(t, tenantsFile, `{"tenants": [{"name": "broken"`)
-	time.Sleep(200 * time.Millisecond) // several poll periods
-	if !authOK(quiet) || !authOK(fresh) {
-		t.Fatal("malformed reload must keep the previous registry live")
-	}
-	if authOK(noisy) {
-		t.Fatal("malformed reload resurrected a revoked key")
-	}
-}
-
-// TestTenantsReloadSIGHUP covers the signal path on a daemon running without
-// the poll: rewriting the file alone changes nothing, SIGHUP swaps it.
+// TestTenantsReloadSIGHUP drives the hot-reload path end to end through a
+// real daemon: rewriting the file alone changes nothing, SIGHUP swaps it so a
+// revoked key 401s on its next request, and a malformed rewrite plus SIGHUP
+// is rejected with the previous registry still serving.
 func TestTenantsReloadSIGHUP(t *testing.T) {
 	tmp := t.TempDir()
 	tenantsFile := writeTenantsFile(t, tmp) // quiet + noisy
+	logFile := filepath.Join(tmp, "aggsimd.log")
 	d := startDaemon(t,
 		"-addr", "127.0.0.1:0", "-workers", "1", "-sweep-workers", "1",
-		"-tenants-file", tenantsFile, "-log", "off")
+		"-tenants-file", tenantsFile, "-log", logFile)
 	defer d.shutdown(t)
+	hup := func() {
+		t.Helper()
+		if err := syscall.Kill(os.Getpid(), syscall.SIGHUP); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	quiet := tenantClient(d.addr, quietKey)
 	noisy := tenantClient(d.addr, noisyKey)
@@ -115,14 +71,27 @@ func TestTenantsReloadSIGHUP(t *testing.T) {
 	]}`, quietKey))
 	time.Sleep(100 * time.Millisecond)
 	if !authOK(noisy) {
-		t.Fatal("without -tenants-reload, a file rewrite alone must not swap the registry")
+		t.Fatal("a file rewrite alone must not swap the registry")
 	}
 
-	if err := syscall.Kill(os.Getpid(), syscall.SIGHUP); err != nil {
-		t.Fatal(err)
-	}
+	hup()
 	pollUntil(t, "SIGHUP reload", func() bool { return !authOK(noisy) })
 	if !authOK(quiet) {
 		t.Fatal("retained tenant lost access across the SIGHUP reload")
+	}
+
+	// A malformed rewrite is rejected; the running registry keeps serving
+	// the last good tenant set.
+	writeTenantsAtomic(t, tenantsFile, `{"tenants": [{"name": "broken"`)
+	hup()
+	pollUntil(t, "malformed reload rejection", func() bool {
+		b, _ := os.ReadFile(logFile)
+		return bytes.Contains(b, []byte("tenants_reload_rejected"))
+	})
+	if !authOK(quiet) {
+		t.Fatal("malformed reload must keep the previous registry live")
+	}
+	if authOK(noisy) {
+		t.Fatal("malformed reload resurrected a revoked key")
 	}
 }

@@ -101,10 +101,11 @@ type Result struct {
 	Threads int
 	PNodes  int
 	DNodes  int
-	// Shards is always 1: machine runs are serial (DESIGN.md §8.1). The
-	// field stays because Result has no JSON tags, so it is part of the
-	// encoded result bytes that the perfbench reference digests and persisted
-	// service caches pin; removing it would change every cached result.
+	// Shards is always 1: machine runs are serial (DESIGN.md §8.1, "Why the
+	// machine coherence path stays serial"). The field stays because Result
+	// has no JSON tags, so it is part of the encoded result bytes that the
+	// perfbench reference digests and persisted service caches pin; removing
+	// it would change every cached result.
 	Shards int
 
 	Breakdown stats.Breakdown

@@ -141,3 +141,13 @@ func TestArrivalLowerBoundProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestDefaultConfigPinnedToPaper pins the default link parameters to the
+// paper's Table 1: 2-byte-wide 1 GHz links, a 10-cycle router head latency
+// and a 16-byte header.
+func TestDefaultConfigPinnedToPaper(t *testing.T) {
+	c := DefaultConfig(8, 4)
+	if c.BytesPerCycle != 2 || c.RouterDelay != 10 || c.HeaderBytes != 16 {
+		t.Fatalf("Table 1 link parameters drifted: %+v", c)
+	}
+}

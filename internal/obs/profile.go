@@ -159,8 +159,8 @@ type LinkSample struct {
 	Depth int32
 }
 
-// profileSampleEvery is the link-acquisition sampling period (power of two).
-const profileSampleEvery = 64
+// profileSamplePeriod is the link-acquisition sampling period (power of two).
+const profileSamplePeriod = 64
 
 // profileSampleCap bounds the retained sample ring (power of two).
 const profileSampleCap = 4096
@@ -177,7 +177,7 @@ func NopProfile() *Profile { return nopProfile }
 func NewProfile() *Profile {
 	return &Profile{
 		on:         true,
-		sampleMask: profileSampleEvery - 1,
+		sampleMask: profileSamplePeriod - 1,
 		samples:    make([]LinkSample, profileSampleCap),
 	}
 }

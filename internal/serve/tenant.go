@@ -4,6 +4,7 @@ import (
 	"crypto/subtle"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"sort"
 	"sync"
@@ -186,25 +187,33 @@ func LoadTenants(path string) (*Tenants, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: tenants file: %w", err)
 	}
-	var tf tenantsFile
-	if err := json.Unmarshal(data, &tf); err != nil {
-		return nil, fmt.Errorf("serve: tenants file %s: %w", path, err)
-	}
-	if len(tf.Tenants) == 0 {
-		return nil, fmt.Errorf("serve: tenants file %s declares no tenants", path)
-	}
-	reg, err := NewTenants(tf.Tenants)
+	list, err := parseTenantsFile(data)
 	if err != nil {
 		return nil, fmt.Errorf("serve: tenants file %s: %w", path, err)
 	}
-	return reg, nil
+	return NewTenants(list)
+}
+
+// parseTenantsFile decodes and validates the bytes of a tenants file,
+// returning its normalized tenant list (see normalizeTenants). LoadTenants
+// and ReloadFile share it.
+func parseTenantsFile(data []byte) ([]Tenant, error) {
+	var tf tenantsFile
+	if err := json.Unmarshal(data, &tf); err != nil {
+		return nil, err
+	}
+	if len(tf.Tenants) == 0 {
+		return nil, fmt.Errorf("declares no tenants")
+	}
+	return normalizeTenants(tf.Tenants)
 }
 
 // normalizeTenants validates a declared tenant list and applies defaults:
 // names and keys must be unique, names non-empty, keys at least 8
-// characters, every quota non-negative, and a rate-limited tenant with no
-// declared burst gets RatePerSec rounded up (minimum 1). Shared by NewTenants
-// and Reload so a reloaded file passes exactly the startup checks.
+// characters, every quota non-negative, a rate's ceiling must fit in an int,
+// and a rate-limited tenant with no declared burst gets that ceiling. Shared
+// by NewTenants and Reload so a reloaded file passes exactly the startup
+// checks.
 func normalizeTenants(list []Tenant) ([]Tenant, error) {
 	out := make([]Tenant, 0, len(list))
 	names := make(map[string]bool, len(list))
@@ -227,14 +236,13 @@ func normalizeTenants(list []Tenant) ([]Tenant, error) {
 		if t.RatePerSec < 0 || t.Burst < 0 || t.MaxQueued < 0 || t.MaxActive < 0 {
 			return nil, fmt.Errorf("tenant %q: negative quota", t.Name)
 		}
+		// float64(math.MaxInt) is 2^63, the first ceiling an int cannot hold.
+		ceil := math.Ceil(t.RatePerSec)
+		if ceil >= math.MaxInt {
+			return nil, fmt.Errorf("tenant %q: rate_per_sec %g too large", t.Name, t.RatePerSec)
+		}
 		if t.RatePerSec > 0 && t.Burst == 0 {
-			t.Burst = int(t.RatePerSec)
-			if float64(t.Burst) < t.RatePerSec {
-				t.Burst++
-			}
-			if t.Burst < 1 {
-				t.Burst = 1
-			}
+			t.Burst = int(ceil)
 		}
 		out = append(out, t)
 	}
@@ -318,14 +326,11 @@ func (r *Tenants) ReloadFile(path string) error {
 	if err != nil {
 		return fmt.Errorf("serve: tenants file: %w", err)
 	}
-	var tf tenantsFile
-	if err := json.Unmarshal(data, &tf); err != nil {
-		return fmt.Errorf("serve: tenants file %s: %w", path, err)
+	list, err := parseTenantsFile(data)
+	if err == nil {
+		err = r.Reload(list)
 	}
-	if len(tf.Tenants) == 0 {
-		return fmt.Errorf("serve: tenants file %s declares no tenants", path)
-	}
-	if err := r.Reload(tf.Tenants); err != nil {
+	if err != nil {
 		return fmt.Errorf("serve: tenants file %s: %w", path, err)
 	}
 	return nil

@@ -86,6 +86,7 @@ func TestTenantsReloadRejectsInvalid(t *testing.T) {
 		{{Name: "", Key: "key-xxxxxxxx"}},                                    // empty name
 		{{Name: "x", Key: "short"}},                                          // short key
 		{{Name: "x", Key: "key-xxxxxxxx"}, {Name: "x", Key: "key-yyyyyyyy"}}, // dup name
+		{{Name: "x", Key: "key-xxxxxxxx", RatePerSec: 1e19}},                 // rate ceiling overflows int
 	}
 	for i, list := range bad {
 		if err := reg.Reload(list); err == nil {

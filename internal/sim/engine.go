@@ -1,363 +1,15 @@
-// Package sim provides a small deterministic discrete-event simulation
-// engine: a time-ordered event queue, contended resources modeled by
-// busy-until serialization, and a scheduler for simulated threads that always
-// advances the thread with the smallest local clock.
+// Package sim provides the deterministic core every machine runs on: a
+// scheduler for simulated threads that always advances the thread with the
+// smallest local clock, and contended resources modeled as exact busy-interval
+// calendars.
 //
 // All simulated time is measured in processor cycles (the paper's machines
 // cycle at 1 GHz, so a cycle is also a nanosecond, but nothing here depends
 // on that).
 package sim
 
-import (
-	"fmt"
-	"sort"
-	"time"
-)
-
 // Time is a point in simulated time, in CPU cycles.
 type Time uint64
 
 // Never is a sentinel Time larger than any reachable simulation time.
 const Never = Time(1<<63 - 1)
-
-// event is one scheduled occurrence. Events are stored by value in the
-// engine's inlined 4-ary heap: scheduling pushes a struct into a reused
-// slice, with no container/heap interface boxing and no per-event heap
-// allocation in steady state.
-type event struct {
-	at  Time
-	seq uint64 // tie-breaker: insertion order, for determinism
-	fn  func()
-	rec *Recurring // non-nil for occurrences of a recurring event
-}
-
-// Recurring is a reusable record for an event that fires periodically. The
-// record (not a fresh closure per occurrence) is what travels through the
-// event queue, so a steady periodic event allocates nothing after setup.
-// Stopped records return to the engine's free list and are recycled by the
-// next Every call.
-type Recurring struct {
-	fn      func()
-	period  Time
-	name    string // introspection label (EveryNamed); "" for anonymous
-	stopped bool
-}
-
-// Name returns the introspection label the record was scheduled with.
-func (r *Recurring) Name() string { return r.name }
-
-// Engine is a deterministic discrete-event simulator. The zero value is ready
-// to use.
-type Engine struct {
-	now Time
-	ev  []event // inlined 4-ary min-heap ordered by (at, seq)
-	seq uint64
-	// recFree recycles stopped Recurring records.
-	recFree []*Recurring
-
-	// Introspection counters (always on; each costs an increment or a
-	// compare per operation).
-	dispatched uint64 // events fired, including recurring occurrences
-	recFired   uint64 // recurring occurrences among dispatched
-	maxPending int    // high-water mark of the event queue
-
-	// prof, when non-nil, wall-clocks every handler (see StartProfile).
-	prof *profile
-}
-
-// EngineStats is a snapshot of the engine's introspection counters.
-type EngineStats struct {
-	Now            Time
-	Pending        int    // events currently queued
-	MaxPending     int    // queue-depth high-water mark
-	Dispatched     uint64 // events fired so far
-	RecurringFired uint64 // recurring occurrences among Dispatched
-}
-
-// Stats returns a snapshot of the engine's introspection counters.
-func (e *Engine) Stats() EngineStats {
-	e.settle()
-	return EngineStats{
-		Now:            e.now,
-		Pending:        len(e.ev),
-		MaxPending:     e.maxPending,
-		Dispatched:     e.dispatched,
-		RecurringFired: e.recFired,
-	}
-}
-
-// profile accumulates host wall time per handler label while profiling is
-// active. One-shot events share the "" label; recurring events are grouped
-// by the name given to EveryNamed.
-type profile struct {
-	started time.Time
-	events  uint64
-	wall    map[string]time.Duration
-	calls   map[string]uint64
-}
-
-func (p *profile) add(name string, d time.Duration) {
-	p.events++
-	p.wall[name] += d
-	p.calls[name]++
-}
-
-// HandlerShare is one handler group's share of profiled wall time.
-type HandlerShare struct {
-	Name  string // "" is the anonymous one-shot group
-	Wall  time.Duration
-	Calls uint64
-	Share float64 // fraction of total profiled handler wall time
-}
-
-// ProfileReport summarizes a profiling window: host-time throughput and the
-// per-handler wall-time split. It is host-side observability only — nothing
-// in it feeds back into simulation state, so profiling cannot perturb
-// results (only slow them down).
-type ProfileReport struct {
-	Elapsed      time.Duration
-	Events       uint64
-	EventsPerSec float64
-	Handlers     []HandlerShare // sorted by descending wall time
-}
-
-// StartProfile begins wall-clocking every dispatched handler. Calling it
-// again restarts the window.
-func (e *Engine) StartProfile() {
-	e.prof = &profile{
-		started: time.Now(),
-		wall:    make(map[string]time.Duration),
-		calls:   make(map[string]uint64),
-	}
-}
-
-// StopProfile ends the profiling window and returns its report. Without a
-// matching StartProfile it returns a zero report.
-func (e *Engine) StopProfile() ProfileReport {
-	p := e.prof
-	e.prof = nil
-	if p == nil {
-		return ProfileReport{}
-	}
-	rep := ProfileReport{Elapsed: time.Since(p.started), Events: p.events}
-	if rep.Elapsed > 0 {
-		rep.EventsPerSec = float64(p.events) / rep.Elapsed.Seconds()
-	}
-	var total time.Duration
-	for _, d := range p.wall {
-		total += d
-	}
-	for name, d := range p.wall {
-		share := 0.0
-		if total > 0 {
-			share = float64(d) / float64(total)
-		}
-		rep.Handlers = append(rep.Handlers, HandlerShare{Name: name, Wall: d, Calls: p.calls[name], Share: share})
-	}
-	sort.Slice(rep.Handlers, func(i, j int) bool {
-		if rep.Handlers[i].Wall != rep.Handlers[j].Wall {
-			return rep.Handlers[i].Wall > rep.Handlers[j].Wall
-		}
-		return rep.Handlers[i].Name < rep.Handlers[j].Name
-	})
-	return rep
-}
-
-// Now returns the current simulated time.
-func (e *Engine) Now() Time { return e.now }
-
-// At schedules fn to run at absolute time t. Scheduling in the past panics:
-// it would silently reorder causality.
-func (e *Engine) At(t Time, fn func()) {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: scheduling event at %d before now %d", t, e.now))
-	}
-	e.seq++
-	e.push(event{at: t, seq: e.seq, fn: fn})
-}
-
-// After schedules fn to run d cycles from now.
-func (e *Engine) After(d Time, fn func()) { e.At(e.now+d, fn) }
-
-// Every schedules fn to run at first and then every period cycles until the
-// returned record is passed to Stop. period must be positive. Each firing
-// reuses the same record, so a periodic event costs no allocation per
-// occurrence.
-func (e *Engine) Every(first, period Time, fn func()) *Recurring {
-	return e.EveryNamed(first, period, "", fn)
-}
-
-// EveryNamed is Every with an introspection label: profiled wall time and
-// fire counts are aggregated under name in ProfileReport.
-func (e *Engine) EveryNamed(first, period Time, name string, fn func()) *Recurring {
-	if first < e.now {
-		panic(fmt.Sprintf("sim: scheduling event at %d before now %d", first, e.now))
-	}
-	if period == 0 {
-		panic("sim: recurring event with zero period")
-	}
-	var r *Recurring
-	if n := len(e.recFree); n > 0 {
-		r = e.recFree[n-1]
-		e.recFree[n-1] = nil
-		e.recFree = e.recFree[:n-1]
-	} else {
-		r = new(Recurring)
-	}
-	*r = Recurring{fn: fn, period: period, name: name}
-	e.seq++
-	e.push(event{at: first, seq: e.seq, rec: r})
-	return r
-}
-
-// Stop cancels a recurring event. Its already-queued next occurrence is
-// discarded (without firing) when it reaches the head of the queue, at which
-// point the record is recycled. Stopping twice is a no-op.
-func (e *Engine) Stop(r *Recurring) { r.stopped = true }
-
-// settle discards stopped recurring occurrences sitting at the queue head,
-// recycling their records.
-func (e *Engine) settle() {
-	for len(e.ev) > 0 && e.ev[0].rec != nil && e.ev[0].rec.stopped {
-		ev := e.pop()
-		ev.rec.fn = nil
-		e.recFree = append(e.recFree, ev.rec)
-	}
-}
-
-// Pending reports the number of scheduled occurrences. Occurrences of stopped
-// recurring events are counted until they are lazily reaped at the queue head.
-func (e *Engine) Pending() int {
-	e.settle()
-	return len(e.ev)
-}
-
-// NextAt returns the time of the earliest pending event.
-func (e *Engine) NextAt() (Time, bool) {
-	e.settle()
-	if len(e.ev) == 0 {
-		return 0, false
-	}
-	return e.ev[0].at, true
-}
-
-// Step runs the earliest pending event, advancing the clock to its time.
-// It reports whether an event was run.
-func (e *Engine) Step() bool {
-	e.settle()
-	if len(e.ev) == 0 {
-		return false
-	}
-	ev := e.pop()
-	e.now = ev.at
-	e.dispatched++
-	if r := ev.rec; r != nil {
-		// Requeue before firing so fn observes a consistent Pending count;
-		// if fn calls Stop, the queued occurrence is reaped before it fires.
-		e.seq++
-		e.push(event{at: ev.at + r.period, seq: e.seq, rec: r})
-		e.recFired++
-		if p := e.prof; p != nil {
-			start := time.Now()
-			r.fn()
-			p.add(r.name, time.Since(start))
-			return true
-		}
-		r.fn()
-		return true
-	}
-	if p := e.prof; p != nil {
-		start := time.Now()
-		ev.fn()
-		p.add("", time.Since(start))
-		return true
-	}
-	ev.fn()
-	return true
-}
-
-// Run executes events until the queue drains.
-func (e *Engine) Run() {
-	for e.Step() {
-	}
-}
-
-// RunUntil executes events with time ≤ t, then advances the clock to t.
-func (e *Engine) RunUntil(t Time) {
-	for {
-		at, ok := e.NextAt()
-		if !ok || at > t {
-			break
-		}
-		e.Step()
-	}
-	if t > e.now {
-		e.now = t
-	}
-}
-
-// --- inlined 4-ary min-heap ---
-//
-// A 4-ary layout halves the tree depth of a binary heap; with events stored
-// by value the sift loops touch contiguous memory and compile to straight
-// integer comparisons. Children of node i are 4i+1 .. 4i+4.
-
-func (e *Engine) less(a, b *event) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
-
-func (e *Engine) push(ev event) {
-	e.ev = append(e.ev, ev)
-	if len(e.ev) > e.maxPending {
-		e.maxPending = len(e.ev)
-	}
-	i := len(e.ev) - 1
-	for i > 0 {
-		parent := (i - 1) / 4
-		if !e.less(&e.ev[i], &e.ev[parent]) {
-			break
-		}
-		e.ev[i], e.ev[parent] = e.ev[parent], e.ev[i]
-		i = parent
-	}
-}
-
-func (e *Engine) pop() event {
-	top := e.ev[0]
-	n := len(e.ev) - 1
-	e.ev[0] = e.ev[n]
-	e.ev[n] = event{} // release the closure/record reference
-	e.ev = e.ev[:n]
-	if n > 1 {
-		e.siftDown(0)
-	}
-	return top
-}
-
-func (e *Engine) siftDown(i int) {
-	n := len(e.ev)
-	for {
-		first := 4*i + 1
-		if first >= n {
-			return
-		}
-		min := first
-		last := first + 4
-		if last > n {
-			last = n
-		}
-		for c := first + 1; c < last; c++ {
-			if e.less(&e.ev[c], &e.ev[min]) {
-				min = c
-			}
-		}
-		if !e.less(&e.ev[min], &e.ev[i]) {
-			return
-		}
-		e.ev[i], e.ev[min] = e.ev[min], e.ev[i]
-		i = min
-	}
-}

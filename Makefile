@@ -34,11 +34,12 @@ bench:
 # bench-smoke runs each benchmark once — compile + one iteration, a CI-speed
 # check that the benchmarks still work — then pins the profiler-disabled
 # record paths, the floored steady-state resource calendar, the shared
-# machine Access wrapper's L1-hit path and the dense directory's lookups of
-# touched lines at zero allocations (the alloc-regression gate).
+# machine Access wrapper's L1-hit path, writes that invalidate remote
+# sharers, the dense directory's lookups of touched lines and the cache and
+# local-memory hit paths at zero allocations (the alloc-regression gate).
 bench-smoke:
 	$(GO) test -bench . -benchtime 1x -benchmem -run '^$$' ./...
-	$(GO) test -run 'ZeroAlloc' ./internal/obs ./internal/sim ./internal/machine ./internal/hashmap
+	$(GO) test -run 'ZeroAlloc' ./internal/obs ./internal/sim ./internal/machine ./internal/hashmap ./internal/cache
 
 ci: build vet test race-hot
 

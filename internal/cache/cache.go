@@ -60,10 +60,43 @@ type Victim struct {
 // Valid reports whether a real line was displaced.
 func (v Victim) Valid() bool { return v.State != Invalid }
 
+// A frame is two words. w is the line-aligned address with the frame's state
+// in its low two bits and, in a LocalMemory, the on-chip placement in bit 2;
+// the 8-byte minimum line size keeps those bits free. lru is the global LRU
+// stamp (larger = more recent). An Invalid frame keeps its stale tag, which
+// nothing reads.
 type frame struct {
-	tag   uint64 // line-aligned address
-	state State
-	lru   uint64 // global LRU stamp; larger = more recent
+	w   uint64
+	lru uint64
+}
+
+const (
+	stateMask  = 3 // frame.w bits holding the State
+	onChipBit  = 4 // frame.w bit set when a LocalMemory frame is on chip
+	lowBits    = 7 // frame.w bits that are not address
+	minLineLen = lowBits + 1
+)
+
+func (f *frame) state() State     { return State(f.w & stateMask) }
+func (f *frame) tag() uint64      { return f.w &^ lowBits }
+func (f *frame) setState(s State) { f.w = f.w&^stateMask | uint64(s)&stateMask }
+func (f *frame) onChip() bool     { return f.w&onChipBit != 0 }
+
+// holds reports whether f is a valid copy of the line at tag.
+func (f *frame) holds(tag uint64) bool {
+	return f.w&^lowBits == tag && f.w&stateMask != uint64(Invalid)
+}
+
+// checkLine validates a line size: a power of two that leaves frame.w's low
+// bits free.
+func checkLine(lineBytes uint64) error {
+	if lineBytes == 0 || lineBytes&(lineBytes-1) != 0 {
+		return fmt.Errorf("cache: line size %d must be a power of two", lineBytes)
+	}
+	if lineBytes < minLineLen {
+		return fmt.Errorf("cache: line size %d below the %d-byte minimum", lineBytes, minLineLen)
+	}
+	return nil
 }
 
 // SetAssoc is a set-associative tag/state array with true-LRU replacement.
@@ -78,14 +111,14 @@ type SetAssoc struct {
 }
 
 // New builds a cache of totalBytes capacity with the given line size and
-// associativity. Line size and the resulting set count must be powers of two;
-// assoc may be any positive value.
+// associativity. Line size (at least 8 bytes) and the resulting set count
+// must be powers of two; assoc may be any positive value.
 func New(totalBytes, lineBytes uint64, assoc int) (*SetAssoc, error) {
 	if assoc <= 0 {
 		return nil, fmt.Errorf("cache: associativity %d must be positive", assoc)
 	}
-	if lineBytes == 0 || lineBytes&(lineBytes-1) != 0 {
-		return nil, fmt.Errorf("cache: line size %d must be a power of two", lineBytes)
+	if err := checkLine(lineBytes); err != nil {
+		return nil, err
 	}
 	lines := totalBytes / lineBytes
 	if lines == 0 || lines%uint64(assoc) != 0 {
@@ -135,7 +168,7 @@ func (c *SetAssoc) find(addr uint64) *frame {
 	tag := c.Align(addr)
 	set := c.set(addr)
 	for i := range set {
-		if set[i].state != Invalid && set[i].tag == tag {
+		if set[i].holds(tag) {
 			return &set[i]
 		}
 	}
@@ -145,7 +178,7 @@ func (c *SetAssoc) find(addr uint64) *frame {
 // Lookup returns the state of the line containing addr without updating LRU.
 func (c *SetAssoc) Lookup(addr uint64) (State, bool) {
 	if f := c.find(addr); f != nil {
-		return f.state, true
+		return f.state(), true
 	}
 	return Invalid, false
 }
@@ -156,7 +189,7 @@ func (c *SetAssoc) Access(addr uint64) (State, bool) {
 	if f := c.find(addr); f != nil {
 		c.stamp++
 		f.lru = c.stamp
-		return f.state, true
+		return f.state(), true
 	}
 	return Invalid, false
 }
@@ -168,7 +201,7 @@ func (c *SetAssoc) SetState(addr uint64, s State) bool {
 	if f == nil {
 		return false
 	}
-	f.state = s
+	f.setState(s)
 	return true
 }
 
@@ -178,8 +211,8 @@ func (c *SetAssoc) Invalidate(addr uint64) State {
 	if f == nil {
 		return Invalid
 	}
-	s := f.state
-	f.state = Invalid
+	s := f.state()
+	f.setState(Invalid)
 	return s
 }
 
@@ -195,22 +228,31 @@ func (c *SetAssoc) Insert(addr uint64, s State, rank func(State) int) Victim {
 	if f := c.find(addr); f != nil {
 		c.stamp++
 		f.lru = c.stamp
-		f.state = s
+		f.setState(s)
 		return Victim{}
 	}
 	set := c.set(addr)
-	best := -1
+	best := pickVictim(set, rank)
+	v := set[best].victim()
+	c.stamp++
+	set[best] = frame{w: c.Align(addr) | uint64(s)&stateMask, lru: c.stamp}
+	return v
+}
+
+// pickVictim returns the index of the frame an insertion into set replaces:
+// the first Invalid frame, else the lowest rank (nil rank treats all states
+// equally), ties broken by LRU.
+func pickVictim(set []frame, rank func(State) int) int {
+	best := 0
 	for i := range set {
-		if set[i].state == Invalid {
-			best = i
-			break
+		if set[i].state() == Invalid {
+			return i
 		}
-		if best == -1 {
-			best = i
+		if i == 0 {
 			continue
 		}
 		if rank != nil {
-			ri, rb := rank(set[i].state), rank(set[best].state)
+			ri, rb := rank(set[i].state()), rank(set[best].state())
 			if ri != rb {
 				if ri < rb {
 					best = i
@@ -222,44 +264,50 @@ func (c *SetAssoc) Insert(addr uint64, s State, rank func(State) int) Victim {
 			best = i
 		}
 	}
-	v := Victim{}
-	if set[best].state != Invalid {
-		v = Victim{Addr: set[best].tag, State: set[best].state}
+	return best
+}
+
+// victim describes the line f holds, the zero Victim if it is Invalid.
+func (f *frame) victim() Victim {
+	if f.state() == Invalid {
+		return Victim{}
 	}
-	c.stamp++
-	set[best] = frame{tag: c.Align(addr), state: s, lru: c.stamp}
-	return v
+	return Victim{Addr: f.tag(), State: f.state()}
 }
 
 // ForEach calls fn for every valid line (address, state). Iteration order is
 // frame order (deterministic).
 func (c *SetAssoc) ForEach(fn func(addr uint64, s State)) {
 	for i := range c.frames {
-		if c.frames[i].state != Invalid {
-			fn(c.frames[i].tag, c.frames[i].state)
+		if f := &c.frames[i]; f.state() != Invalid {
+			fn(f.tag(), f.state())
 		}
 	}
 }
 
 // Count returns the number of valid lines.
-func (c *SetAssoc) Count() int {
+func (c *SetAssoc) Count() int { return count(c.frames) }
+
+// Flush removes all lines, invoking fn (if non-nil) for each valid one.
+func (c *SetAssoc) Flush(fn func(addr uint64, s State)) { flush(c.frames, fn) }
+
+func count(frames []frame) int {
 	n := 0
-	for i := range c.frames {
-		if c.frames[i].state != Invalid {
+	for i := range frames {
+		if frames[i].state() != Invalid {
 			n++
 		}
 	}
 	return n
 }
 
-// Flush removes all lines, invoking fn (if non-nil) for each valid one.
-func (c *SetAssoc) Flush(fn func(addr uint64, s State)) {
-	for i := range c.frames {
-		if c.frames[i].state != Invalid {
+func flush(frames []frame, fn func(addr uint64, s State)) {
+	for i := range frames {
+		if f := &frames[i]; f.state() != Invalid {
 			if fn != nil {
-				fn(c.frames[i].tag, c.frames[i].state)
+				fn(f.tag(), f.state())
 			}
-			c.frames[i].state = Invalid
+			f.setState(Invalid)
 		}
 	}
 }

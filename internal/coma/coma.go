@@ -342,7 +342,8 @@ func (m *Machine) writeMiss(reqT sim.Time, p, home int, addr, line uint64, e *di
 	data := m.Net.DataBytes(m.cfg.LineBytes)
 	ctrl := m.Net.ControlBytes()
 
-	targets := e.sharers.Targets(nil, m.allNodes, p)
+	var tbuf proto.TargetBuf
+	targets := e.sharers.Targets(tbuf[:0], m.allNodes, p)
 	occ := m.cfg.Costs.ReadExOcc + m.cfg.Costs.InvalPerNode*sim.Time(len(targets))
 	if m.Spans.On() {
 		m.Spans.Mark(obs.PhaseIssue, reqT)
@@ -524,7 +525,8 @@ func (m *Machine) inject(t sim.Time, from int, line uint64, st cache.State) {
 	m.Prof.Node(home, obs.ResProc, obs.HCPageout, m.cfg.Costs.WBOcc)
 	m.disk[home].Acquire(hs, m.cfg.Timing.DiskLat)
 	m.Prof.Node(home, obs.ResDisk, obs.HCPageout, m.cfg.Timing.DiskLat)
-	for _, q := range e.sharers.Targets(nil, m.allNodes, from) {
+	var tbuf proto.TargetBuf
+	for _, q := range e.sharers.Targets(tbuf[:0], m.allNodes, from) {
 		iv := m.Net.Send(hs, home, q, m.Net.ControlBytes())
 		m.am[q].Invalidate(line)
 		m.caches[q].InvalidateMemLine(line)

@@ -4,6 +4,7 @@ import (
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"pimdsm/internal/cache"
 	"pimdsm/internal/proto"
@@ -219,5 +220,13 @@ func TestCOMASingleMasterProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDirEntryLayout pins the directory entry at 20 bytes (8-byte sharer
+// vector).
+func TestDirEntryLayout(t *testing.T) {
+	if n := unsafe.Sizeof(dirEntry{}); n != 20 {
+		t.Errorf("dirEntry is %d bytes, want 20", n)
 	}
 }

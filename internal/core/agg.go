@@ -557,7 +557,8 @@ func (m *Machine) remoteWrite(reqT sim.Time, p, d int, addr uint64, e *DirEntry,
 		class = proto.Lat3Hop
 
 	case DirShared:
-		targets := e.Sharers.Targets(nil, m.allP, p)
+		var tbuf proto.TargetBuf
+		targets := e.Sharers.Targets(tbuf[:0], m.allP, p)
 		occ := m.cfg.Costs.ReadExOcc + m.cfg.Costs.InvalPerNode*sim.Time(len(targets))
 		hs := m.dproc[d].Acquire(arrive, occ)
 		m.profD(d, obs.ResProc, obs.HCDirLookup, m.cfg.Costs.ReadExOcc)
@@ -887,7 +888,8 @@ func (m *Machine) pageout(t sim.Time, d int, protect uint64, wantSlots bool) sim
 						m.Trace.Emit(obs.EvRecall, rq, 0, int32(master), e.Addr, 0)
 					}
 				}
-				for _, q := range e.Sharers.Targets(nil, m.allP, -1) {
+				var tbuf proto.TargetBuf
+				for _, q := range e.Sharers.Targets(tbuf[:0], m.allP, -1) {
 					iv := m.Net.Send(t, m.dMesh[d], m.pMesh[q], ctrl)
 					if iv > lastArrive {
 						lastArrive = iv

@@ -4,6 +4,7 @@ import (
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 // newDMem returns a small D-memory: 8 Data slots, 12 directory entries
@@ -507,4 +508,12 @@ func TestConfigureSetAssocValidation(t *testing.T) {
 		}
 	}()
 	d.ConfigureSetAssoc(3) // 8 % 3 != 0
+}
+
+// TestDirEntryLayout pins the D-node directory entry at 32 bytes (8-byte
+// sharer vector).
+func TestDirEntryLayout(t *testing.T) {
+	if n := unsafe.Sizeof(DirEntry{}); n != 32 {
+		t.Errorf("DirEntry is %d bytes, want 32", n)
+	}
 }

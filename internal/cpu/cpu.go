@@ -110,7 +110,8 @@ type Thread struct {
 	outstanding []sim.Time // completion times of in-flight loads
 	wbuf        []sim.Time // completion times of buffered stores
 
-	retry    *Op // op to re-execute after an Unpark (lock hand-off)
+	retry    Op   // op to re-execute after an Unpark (lock hand-off)
+	retrying bool // retry holds an op
 	parkedAt sim.Time
 
 	phaseHook PhaseHook
@@ -121,7 +122,12 @@ type Thread struct {
 // NewThread builds a thread. scan may be nil for machines without
 // computation-in-memory support; executing an OpScan then panics.
 func NewThread(id int, mem Memory, scan Scanner, stream Stream, sync *SyncDomain, par Params) *Thread {
-	return &Thread{id: id, mem: mem, scan: scan, stream: stream, sync: sync, par: par}
+	// Step drains each buffer below its limit before appending, so neither
+	// ever grows past the capacity given here.
+	return &Thread{id: id, mem: mem, scan: scan, stream: stream, sync: sync, par: par,
+		outstanding: make([]sim.Time, 0, par.LoadBuffer),
+		wbuf:        make([]sim.Time, 0, par.WriteBuffer),
+	}
 }
 
 // SetPhaseHook registers a phase-boundary observer.
@@ -222,9 +228,9 @@ func (t *Thread) drainWriteBuffer() {
 // Step implements sim.Thread: execute one operation.
 func (t *Thread) Step() sim.Status {
 	var op Op
-	if t.retry != nil {
-		op = *t.retry
-		t.retry = nil
+	if t.retrying {
+		op = t.retry
+		t.retrying = false
 	} else {
 		var ok bool
 		op, ok = t.stream.Next()
@@ -311,8 +317,7 @@ func (t *Thread) Step() sim.Status {
 		}
 		if lk.holder >= 0 {
 			lk.queue = append(lk.queue, t.id)
-			op := op
-			t.retry = &op
+			t.retry, t.retrying = op, true
 			return sim.Parked
 		}
 		lk.holder = t.id

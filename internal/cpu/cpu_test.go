@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"runtime"
 	"testing"
 
 	"pimdsm/internal/proto"
@@ -321,5 +322,33 @@ func TestFloorMonotoneAcrossSync(t *testing.T) {
 	}
 	if lockParks := parks - rounds*(n-1); lockParks <= 0 {
 		t.Fatalf("no lock hand-offs exercised (%d parks, all at barriers)", parks)
+	}
+}
+
+// TestThreadBuffersNoGrowth: a fresh thread whose write and load buffers fill
+// to their limits allocates nothing while stepping, because NewThread sizes
+// both buffers for their limits.
+func TestThreadBuffersNoGrowth(t *testing.T) {
+	par := DefaultParams()
+	var ops []Op
+	for range par.WriteBuffer + 8 {
+		ops = append(ops, Op{Kind: OpStore, Addr: 0x80})
+	}
+	for range par.LoadBuffer + 8 {
+		ops = append(ops, Op{Kind: OpLoad, Addr: 0x40, Indep: true})
+	}
+	th := NewThread(0, &fakeMem{lat: 10000}, nil, &SliceStream{Ops: ops}, nil, par)
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.Mallocs
+	for range ops {
+		th.Step()
+	}
+	runtime.ReadMemStats(&ms)
+	if n := ms.Mallocs - before; n != 0 {
+		t.Errorf("%d steps filling both buffers allocated %d times, want 0", len(ops), n)
+	}
+	if len(th.outstanding) != par.LoadBuffer || len(th.wbuf) != par.WriteBuffer {
+		t.Errorf("buffers hold %d loads and %d stores, want them full", len(th.outstanding), len(th.wbuf))
 	}
 }

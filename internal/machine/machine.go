@@ -14,6 +14,7 @@ import (
 	"pimdsm/internal/mesh"
 	"pimdsm/internal/numa"
 	"pimdsm/internal/obs"
+	"pimdsm/internal/proto"
 	"pimdsm/internal/sim"
 	"pimdsm/internal/stats"
 	"pimdsm/internal/workload"
@@ -191,6 +192,9 @@ type Sizing struct {
 func Size(cfg Config, fp uint64) (Sizing, error) {
 	if cfg.Threads <= 0 {
 		return Sizing{}, fmt.Errorf("machine: need threads > 0")
+	}
+	if cfg.Threads > proto.MaxSharerID+1 {
+		return Sizing{}, fmt.Errorf("machine: %d threads exceed the %d node IDs a sharer vector holds", cfg.Threads, proto.MaxSharerID+1)
 	}
 	if cfg.Pressure <= 0 || cfg.Pressure > 1 {
 		return Sizing{}, fmt.Errorf("machine: pressure %v outside (0,1]", cfg.Pressure)

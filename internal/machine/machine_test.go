@@ -243,3 +243,57 @@ func TestAccessHitZeroAlloc(t *testing.T) {
 		}
 	}
 }
+
+// TestSizeRejectsWideNodeIDs: sharer vectors hold 16-bit node IDs, so a
+// machine with more nodes than that is refused at sizing time (it is never
+// built) instead of wrapping IDs and losing invalidations.
+func TestSizeRejectsWideNodeIDs(t *testing.T) {
+	for _, arch := range []Arch{AGG, NUMA, COMA} {
+		if _, err := Size(Config{Arch: arch, Threads: 40000, Pressure: 0.75, DRatio: 1}, 1<<30); err == nil || !strings.Contains(err.Error(), "node IDs") {
+			t.Errorf("%s: 40000 threads: err = %v, want a node-ID error", arch, err)
+		}
+		if _, err := Size(Config{Arch: arch, Threads: proto.MaxSharerID + 1, Pressure: 0.75, DRatio: 1}, 1<<30); err != nil {
+			t.Errorf("%s: %d threads rejected: %v", arch, proto.MaxSharerID+1, err)
+		}
+	}
+}
+
+// TestInvalidationZeroAlloc pins a write that invalidates remote sharers at
+// zero heap allocations on every machine: the invalidation targets live in a
+// stack buffer. Each round re-shares the line from three remote nodes and
+// then writes it, once with the writer as the line's first toucher (its
+// home on NUMA and COMA) and once with a sharer as first toucher.
+func TestInvalidationZeroAlloc(t *testing.T) {
+	for _, arch := range []Arch{AGG, NUMA, COMA} {
+		for _, first := range []int{0, 1} {
+			a, err := newTiny(arch, 8, 0, 0)
+			if err != nil {
+				t.Fatalf("%s: %v", arch, err)
+			}
+			m := a.(engine)
+			var now sim.Time
+			m.SetFloor(&now)
+			addr := uint64(0x4000)
+			m.Access(now, first, addr, false)
+			round := func() {
+				for q := 1; q <= 3; q++ {
+					done, _ := m.Access(now, q, addr, false)
+					now = max(now, done)
+				}
+				done, _ := m.Access(now, 0, addr, true)
+				now = max(now, done)
+			}
+			for range 10 {
+				round()
+			}
+			before := m.Stats().Invalidations
+			round()
+			if got := m.Stats().Invalidations - before; got < 3 {
+				t.Fatalf("%s first=%d: a write after three remote reads sent %d invalidations, want >= 3", arch, first, got)
+			}
+			if n := testing.AllocsPerRun(1000, round); n != 0 {
+				t.Errorf("%s first=%d: a sharing round with an invalidating write allocates %v times, want 0", arch, first, n)
+			}
+		}
+	}
+}

@@ -285,7 +285,8 @@ func (m *Machine) localAccess(now sim.Time, p int, addr, line uint64, e *dirEntr
 			m.Spans.Mark(obs.PhaseIssue, done)
 		}
 		// Invalidate remote sharers; their acks bound completion.
-		for _, q := range e.sharers.Targets(nil, m.allNodes, p) {
+		var tbuf proto.TargetBuf
+		for _, q := range e.sharers.Targets(tbuf[:0], m.allNodes, p) {
 			iv := m.Net.Send(now, p, q, ctrl)
 			m.caches[q].InvalidateMemLine(line)
 			m.St.Invalidations++
@@ -388,7 +389,8 @@ func (m *Machine) remoteWrite(now sim.Time, p, h int, addr, line uint64, e *dirE
 		m.Spans.Mark(obs.PhaseNetRequest, arrive)
 	}
 
-	targets := e.sharers.Targets(nil, m.allNodes, p)
+	var tbuf proto.TargetBuf
+	targets := e.sharers.Targets(tbuf[:0], m.allNodes, p)
 	occ := m.cfg.Costs.ReadExOcc + m.cfg.Costs.InvalPerNode*sim.Time(len(targets))
 	hs := m.hproc[h].Acquire(arrive, occ)
 	m.Prof.Node(h, obs.ResProc, obs.HCDirLookup, m.cfg.Costs.ReadExOcc)

@@ -4,6 +4,7 @@ import (
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"pimdsm/internal/proto"
 	"pimdsm/internal/sim"
@@ -184,5 +185,13 @@ func TestNUMARandomProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDirEntryLayout pins the directory entry at 16 bytes (8-byte sharer
+// vector).
+func TestDirEntryLayout(t *testing.T) {
+	if n := unsafe.Sizeof(dirEntry{}); n != 16 {
+		t.Errorf("dirEntry is %d bytes, want 16", n)
 	}
 }

@@ -7,6 +7,7 @@ package proto
 
 import (
 	"fmt"
+	"math"
 
 	"pimdsm/internal/sim"
 )
@@ -51,12 +52,18 @@ func (c LatClass) String() string {
 // paper assumes (§2.2.2: "a 3-pointer limited-vector scheme").
 const MaxSharerPointers = 3
 
+// MaxSharerID is the largest node ID a PtrVec can record: pointers are 16
+// bits wide, which keeps the vector (and every directory entry holding one)
+// 8 bytes. Machines with more nodes are rejected when they are sized.
+const MaxSharerID = math.MaxInt16
+
 // PtrVec is a limited-pointer sharer vector: up to MaxSharerPointers node
-// IDs, falling back to broadcast when it overflows. The zero value is empty.
+// IDs in [0, MaxSharerID], falling back to broadcast when it overflows. The
+// zero value is empty.
 type PtrVec struct {
 	n     uint8
 	bcast bool
-	ptr   [MaxSharerPointers]int32
+	ptr   [MaxSharerPointers]int16
 }
 
 // Add records node as a sharer. Adding beyond capacity sets broadcast mode.
@@ -68,7 +75,7 @@ func (v *PtrVec) Add(node int) {
 		v.bcast = true
 		return
 	}
-	v.ptr[v.n] = int32(node)
+	v.ptr[v.n] = int16(node)
 	v.n++
 }
 
@@ -79,7 +86,7 @@ func (v *PtrVec) Remove(node int) {
 		return
 	}
 	for i := 0; i < int(v.n); i++ {
-		if v.ptr[i] == int32(node) {
+		if int(v.ptr[i]) == node {
 			v.ptr[i] = v.ptr[v.n-1]
 			v.n--
 			return
@@ -94,7 +101,7 @@ func (v *PtrVec) Contains(node int) bool {
 		return true
 	}
 	for i := 0; i < int(v.n); i++ {
-		if v.ptr[i] == int32(node) {
+		if int(v.ptr[i]) == node {
 			return true
 		}
 	}
@@ -133,6 +140,12 @@ func (v *PtrVec) Targets(dst []int, all []int, self int) []int {
 	}
 	return dst
 }
+
+// TargetBuf is the stack array a caller hands Targets (as buf[:0]): it holds
+// the pointers, or a broadcast to up to 64 other nodes, with no heap
+// allocation. A per-machine scratch slice would be shared by nested
+// protocol paths; a stack array belongs to exactly one call.
+type TargetBuf [64]int
 
 // HandlerCosts is the Table 2 protocol-handler cost model, in CPU cycles.
 // Latency is the time from handler dispatch until the reply message leaves;

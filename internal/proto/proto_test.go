@@ -3,6 +3,7 @@ package proto
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestPtrVecAddRemove(t *testing.T) {
@@ -122,5 +123,23 @@ func TestDefaultTiming(t *testing.T) {
 	}
 	if tm.L1Lat != 3 || tm.L2Lat != 6 || tm.MemOnChip != 37 || tm.MemOffChip != 57 {
 		t.Fatalf("Table 1 values wrong: %+v", tm)
+	}
+}
+
+// TestPtrVecLayout pins the 8-byte sharer vector (16-bit pointers) and its
+// exactness up to the largest node ID it accepts.
+func TestPtrVecLayout(t *testing.T) {
+	if n := unsafe.Sizeof(PtrVec{}); n != 8 {
+		t.Errorf("PtrVec is %d bytes, want 8", n)
+	}
+	var v PtrVec
+	v.Add(MaxSharerID)
+	v.Add(0)
+	if !v.Contains(MaxSharerID) || !v.Contains(0) || v.Contains(MaxSharerID-1) || v.Broadcast() {
+		t.Fatalf("vector holding {%d, 0} misreports membership", MaxSharerID)
+	}
+	var buf TargetBuf
+	if got := v.Targets(buf[:0], nil, 0); len(got) != 1 || got[0] != MaxSharerID {
+		t.Fatalf("Targets = %v, want [%d]", got, MaxSharerID)
 	}
 }

@@ -154,11 +154,17 @@ func (r *Resource) Block(from, to Time) {
 }
 
 // checkFloor panics on an arrival below the floor: a placement there could
-// need an interval that has already been retired.
+// need an interval that has already been retired. The formatting lives in
+// belowFloor so that this guard inlines into every Acquire.
 func (r *Resource) checkFloor(at Time) {
 	if r.floor != nil && at < *r.floor {
-		panic(fmt.Sprintf("sim: resource request at %d below floor %d", at, *r.floor))
+		belowFloor(at, *r.floor)
 	}
+}
+
+//go:noinline
+func belowFloor(at, floor Time) {
+	panic(fmt.Sprintf("sim: resource request at %d below floor %d", at, floor))
 }
 
 // firstEndAfter returns the index of the first interval ending after t
